@@ -37,8 +37,6 @@ use pmcf_graph::{incidence, DiGraph, McfProblem};
 use pmcf_linalg::lewis::ipm_p;
 use pmcf_linalg::solver::{LaplacianSolver, RhsSpec, SolveParams, SolverOpts};
 use pmcf_pram::{primitives as pp, Cost, Tracker, Workspace};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Step-size parameter γ (paper: `ε/(Cλ)`; a small constant here).
 const GAMMA: f64 = 0.05;
@@ -285,7 +283,6 @@ fn path_follow_inner(
             max_iter: 1500,
         },
     );
-    let _rng = SmallRng::seed_from_u64(cfg.seed ^ 0xD06F00D);
 
     // Warm resolve runs borrow the checkpoint's workspace and previous
     // duals; cold runs start from `y = 0, s = c` with a private arena.
@@ -678,64 +675,66 @@ fn path_follow_inner(
             }
 
             // refresh per-coordinate state for everything that moved
-            let mut dirty: Vec<usize> = j_x.into_iter().chain(j_s).chain(tau_updates).collect();
-            dirty.sort_unstable();
-            dirty.dedup();
-            let xbar = rs.pg.xbar();
-            let sbar = rs.dm.vbar();
-            let mut pg_updates = Vec::with_capacity(dirty.len());
-            let mut lm_updates = Vec::new();
-            let mut hs_updates = Vec::new();
-            let mut pushed: Vec<(usize, f64)> = Vec::new();
-            let z_reg = (n as f64 / m as f64).min(0.5);
-            for &e in &dirty {
-                let xi = xbar[e].clamp(
-                    (1e-9 * cap[e].max(1.0)).min(barrier::INTERIOR_LO_ABS),
-                    cap[e] * (1.0 - 1e-9),
-                );
-                let (_, d2) = phi_terms(xi, cap[e]);
-                let z = z_of(sbar[e], xi, cap[e], rs.tau[e], st.mu);
-                pg_updates.push((e, -GAMMA / d2.sqrt(), rs.tau[e].clamp(z_reg, 2.0), z));
-                // weight-indexed structures (expander decompositions inside):
-                // only push when φ'' drifted ≥ 25% since the last push — the
-                // class structure is insensitive to smaller changes
-                let drift = d2 / rs.pushed_dd[e];
-                if !(0.8..=1.25).contains(&drift) {
-                    lm_updates.push((e, 1.0 / d2.sqrt()));
-                    hs_updates.push((e, 1.0 / (rs.tau[e] * d2), rs.tau[e].max(1e-12)));
-                    pushed.push((e, d2));
-                }
-            }
-            rs.pg.update(t, &pg_updates);
-            rs.lm.scale(t, &lm_updates);
-            rs.hs.scale(t, &hs_updates);
-            for (e, d2) in pushed {
-                rs.pushed_dd[e] = d2;
-            }
-
-            // keep the epoch sparsifier's weights tracking the moved
-            // coordinates, under the same 25% drift gate as the other
-            // weight-indexed structures: most steps leave the matrix
-            // bit-identical (generation unchanged ⇒ preconditioner cache
-            // hit and a warm start against the very same operator)
-            if let Some(ss) = &mut step_solver {
-                let mut changed = false;
+            t.span("ipm/dirty-refresh", |t| {
+                let mut dirty: Vec<usize> = j_x.into_iter().chain(j_s).chain(tau_updates).collect();
+                dirty.sort_unstable();
+                dirty.dedup();
+                let xbar = rs.pg.xbar();
+                let sbar = rs.dm.vbar();
+                let mut pg_updates = Vec::with_capacity(dirty.len());
+                let mut lm_updates = Vec::new();
+                let mut hs_updates = Vec::new();
+                let mut pushed: Vec<(usize, f64)> = Vec::new();
+                let z_reg = (n as f64 / m as f64).min(0.5);
                 for &e in &dirty {
-                    let slot = ss.slot_of[e];
-                    if slot == usize::MAX {
-                        continue;
-                    }
-                    let w = d_weight(&rs, &cap, e) * ss.inv_p[slot];
-                    if !(0.8..=1.25).contains(&(w / ss.weights[slot])) {
-                        ss.weights[slot] = w;
-                        changed = true;
+                    let xi = xbar[e].clamp(
+                        (1e-9 * cap[e].max(1.0)).min(barrier::INTERIOR_LO_ABS),
+                        cap[e] * (1.0 - 1e-9),
+                    );
+                    let (_, d2) = phi_terms(xi, cap[e]);
+                    let z = z_of(sbar[e], xi, cap[e], rs.tau[e], st.mu);
+                    pg_updates.push((e, -GAMMA / d2.sqrt(), rs.tau[e].clamp(z_reg, 2.0), z));
+                    // weight-indexed structures (expander decompositions inside):
+                    // only push when φ'' drifted ≥ 25% since the last push — the
+                    // class structure is insensitive to smaller changes
+                    let drift = d2 / rs.pushed_dd[e];
+                    if !(0.8..=1.25).contains(&drift) {
+                        lm_updates.push((e, 1.0 / d2.sqrt()));
+                        hs_updates.push((e, 1.0 / (rs.tau[e] * d2), rs.tau[e].max(1e-12)));
+                        pushed.push((e, d2));
                     }
                 }
-                t.charge(Cost::par_flat(dirty.len().max(1) as u64));
-                if changed {
-                    ss.gen += 1;
+                rs.pg.update(t, &pg_updates);
+                rs.lm.scale(t, &lm_updates);
+                rs.hs.scale(t, &hs_updates);
+                for (e, d2) in pushed {
+                    rs.pushed_dd[e] = d2;
                 }
-            }
+
+                // keep the epoch sparsifier's weights tracking the moved
+                // coordinates, under the same 25% drift gate as the other
+                // weight-indexed structures: most steps leave the matrix
+                // bit-identical (generation unchanged ⇒ preconditioner cache
+                // hit and a warm start against the very same operator)
+                if let Some(ss) = &mut step_solver {
+                    let mut changed = false;
+                    for &e in &dirty {
+                        let slot = ss.slot_of[e];
+                        if slot == usize::MAX {
+                            continue;
+                        }
+                        let w = d_weight(&rs, &cap, e) * ss.inv_p[slot];
+                        if !(0.8..=1.25).contains(&(w / ss.weights[slot])) {
+                            ss.weights[slot] = w;
+                            changed = true;
+                        }
+                    }
+                    t.charge(Cost::par_flat(dirty.len().max(1) as u64));
+                    if changed {
+                        ss.gen += 1;
+                    }
+                }
+            });
 
             // μ step (Στ̄ maintained incrementally)
             let shrink = (1.0 - cfg.step_r / tau_sum.sqrt().max(1.0)).max(0.5);

@@ -114,26 +114,21 @@ impl GradientAccumulator {
         self.insert_thresholds(i);
     }
 
-    /// Move coordinates to new buckets (Lemma D.5 `Move`): `Õ(|I|)` work.
-    pub fn move_buckets(&mut self, t: &mut Tracker, moves: &[(usize, usize)]) {
-        t.charge(Cost::par_flat(moves.len() as u64));
-        let mut changed = Vec::new();
-        for &(i, k) in moves {
-            self.sync(i, 0.0, &mut changed);
+    /// Move coordinates to new buckets and update their scalings (Lemma
+    /// D.5 `Move` then `Scale`, fused): each `(i, k, a)` sets `bucket_i ←
+    /// k`, `g_i ← a` with one resync and one threshold re-key. Charged as
+    /// a `Move` pass followed by a `Scale` pass: `Õ(|I|)` work.
+    pub fn move_and_scale(&mut self, t: &mut Tracker, updates: &[(usize, usize, f64)]) {
+        let len = updates.len() as u64;
+        t.charge(Cost::par_flat(len).seq(Cost::par_flat(len)));
+        for &(i, k, a) in updates {
             self.remove_thresholds(i);
+            let delta = self.g[i] * (self.f[self.bucket[i]] - self.fsync[i]);
+            if delta != 0.0 {
+                self.xbar[i] += delta;
+            }
             self.bucket[i] = k;
             self.fsync[i] = self.f[k];
-            self.insert_thresholds(i);
-        }
-    }
-
-    /// Update scalings `g_i ← a_i` (Lemma D.5 `Scale`): `Õ(|I|)` work.
-    pub fn scale(&mut self, t: &mut Tracker, updates: &[(usize, f64)]) {
-        t.charge(Cost::par_flat(updates.len() as u64));
-        let mut changed = Vec::new();
-        for &(i, a) in updates {
-            self.sync(i, 0.0, &mut changed);
-            self.remove_thresholds(i);
             self.g[i] = a;
             self.insert_thresholds(i);
         }
@@ -212,8 +207,74 @@ impl GradientAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// The unfused sequence `move_and_scale` replaces: a full `Move` pass
+    /// (resync, re-key under the new bucket) followed by a full `Scale`
+    /// pass (resync, re-key under the new scaling).
+    fn move_then_scale(acc: &mut GradientAccumulator, t: &mut Tracker, up: &[(usize, usize, f64)]) {
+        let mut changed = Vec::new();
+        t.charge(Cost::par_flat(up.len() as u64));
+        for &(i, k, _) in up {
+            acc.sync(i, 0.0, &mut changed);
+            acc.remove_thresholds(i);
+            acc.bucket[i] = k;
+            acc.fsync[i] = acc.f[k];
+            acc.insert_thresholds(i);
+        }
+        t.charge(Cost::par_flat(up.len() as u64));
+        for &(i, _, a) in up {
+            acc.sync(i, 0.0, &mut changed);
+            acc.remove_thresholds(i);
+            acc.g[i] = a;
+            acc.insert_thresholds(i);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn fused_update_matches_two_passes(
+            seed in 0u64..1000,
+            rounds in prop::collection::vec(
+                (prop::collection::vec(-0.05f64..0.05, 4),
+                 prop::collection::vec((0usize..24, 0usize..4, -3.0f64..3.0), 0..10)),
+                1..12),
+        ) {
+            let m = 24;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g: Vec<f64> = (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let bucket: Vec<usize> = (0..m).map(|_| rng.gen_range(0..4)).collect();
+            let eps: Vec<f64> = (0..m).map(|_| rng.gen_range(0.001..0.1)).collect();
+            let mut t = Tracker::new();
+            let mut fused = GradientAccumulator::initialize(
+                &mut t, vec![0.0; m], g.clone(), bucket.clone(), 4, eps.clone());
+            let mut split = GradientAccumulator::initialize(
+                &mut t, vec![0.0; m], g, bucket, 4, eps);
+            for (s, up) in &rounds {
+                let (mut tf, mut ts) = (Tracker::new(), Tracker::new());
+                fused.move_and_scale(&mut tf, up);
+                move_then_scale(&mut split, &mut ts, up);
+                prop_assert_eq!(tf.total(), ts.total());
+                let bits = |a: &GradientAccumulator| -> Vec<u64> {
+                    a.xbar().iter().map(|x| x.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&fused), bits(&split));
+                let (jf, js) = (fused.query(&mut tf, s, &[]), split.query(&mut ts, s, &[]));
+                prop_assert_eq!(jf, js);
+                prop_assert_eq!(bits(&fused), bits(&split));
+                prop_assert_eq!(tf.total(), ts.total());
+            }
+            let (ef, es) = (fused.compute_exact(&mut t), split.compute_exact(&mut t));
+            prop_assert_eq!(
+                ef.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                es.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
+        }
+    }
 
     /// Reference: exact dense accumulation.
     struct Dense {
@@ -332,8 +393,7 @@ mod tests {
         acc.query(&mut t, &[1.0, 2.0], &[]);
         // x = [1, 2]; now move coord 0 to bucket 1 and scale it; future
         // steps use the new bucket/scale, past value preserved
-        acc.move_buckets(&mut t, &[(0, 1)]);
-        acc.scale(&mut t, &[(0, 10.0)]);
+        acc.move_and_scale(&mut t, &[(0, 1, 10.0)]);
         acc.query(&mut t, &[0.0, 0.5], &[]);
         let exact = acc.compute_exact(&mut t);
         assert!((exact[0] - (1.0 + 10.0 * 0.5)).abs() < 1e-9, "{}", exact[0]);

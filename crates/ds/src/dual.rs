@@ -2,18 +2,27 @@
 //!
 //! Maintains `v(t) = v_init + A·Σ_{k≤t} h^{(k)}` (the IPM's dual slack
 //! `s`) and reports `v̄` with per-coordinate guarantee
-//! `‖w^{-1}(v̄ − v)‖_∞ ≤ ε`, in output-sensitive work: a HeavyHitter
-//! (Lemma B.1) per dyadic time scale `2^j` detects the coordinates whose
-//! accumulated drift `(A·f^{(j)})_i` could have crossed the threshold
-//! `0.2·w_i·ε/log n`; only those are recomputed exactly. The structure
-//! reinitializes itself every `T = Θ(√n)` steps (amortized `Õ(m/√n)`).
+//! `‖w^{-1}(v̄ − v)‖_∞ ≤ ε`, in output-sensitive work: per dyadic time
+//! scale `2^j` a heavy-hitter query (Lemma B.1) detects the coordinates
+//! whose accumulated drift `(A·f^{(j)})_i` could have crossed the
+//! threshold `0.2·w_i·ε/log n`; only those are recomputed exactly. The
+//! structure re-anchors itself every `T = Θ(√n)` steps (amortized
+//! `Õ(m/√n)`).
+//!
+//! One [`HeavyHitter`] over the weights `1/w` serves every scale. The
+//! paper keeps one detector `D_j` per scale, but they would all index the
+//! same weights, and `HeavyQuery` returns exactly the edges above the
+//! threshold whatever the decomposition or seed behind it — the
+//! decomposition only bounds the work. So the scales differ only in the
+//! vector `f^{(j)}` they query with, and a shared detector gives the same
+//! answers as `⌈log₂ T⌉ + 1` private ones at the cost of one build.
 //!
 //! Deviation from Algorithm 9: the paper *pauses* detector tracking of
 //! freshly-synced coordinates (`D_j.Scale(J, 0)` + resume at the epoch
 //! boundary) to tighten the work bound. Structural weight moves are far
 //! more expensive than the `O(1)` re-verification of a spurious
-//! candidate in practice, so we keep detector weights fixed between
-//! reinitializations and simply re-verify candidates (DESIGN.md §2).
+//! candidate in practice, so the detector's weights move only on
+//! `SetAccuracy` and we simply re-verify candidates (DESIGN.md §2).
 
 use crate::heavy_hitter::HeavyHitter;
 use pmcf_graph::DiGraph;
@@ -32,15 +41,16 @@ pub struct DualMaintenance {
     fhat: Vec<f64>,
     /// Per scale j: accumulated h over the current 2^j-epoch.
     f_epoch: Vec<Vec<f64>>,
-    /// Per scale j: HeavyHitter over weights 1/w.
-    detectors: Vec<HeavyHitter>,
+    /// HeavyHitter over weights 1/w, shared by every scale.
+    detector: HeavyHitter,
     t_step: usize,
     period: usize,
-    seed: u64,
 }
 
 impl DualMaintenance {
-    /// Initialize (Theorem E.1): `Õ(m)` work, `Õ(1)` depth.
+    /// Initialize (Theorem E.1): `Õ(m)` work, `Õ(1)` depth. `seed` picks
+    /// the detector's expander decompositions, which bound the work of
+    /// every query but never change an answer.
     pub fn initialize(
         t: &mut Tracker,
         graph: DiGraph,
@@ -57,23 +67,18 @@ impl DualMaintenance {
         let period = ((n as f64).sqrt().ceil() as usize).max(4);
         let scales = (period as f64).log2().ceil() as usize + 1;
         let inv_w: Vec<f64> = w.iter().map(|&x| 1.0 / x).collect();
-        let detectors: Vec<HeavyHitter> = (0..scales)
-            .map(|j| {
-                HeavyHitter::initialize(t, graph.clone(), inv_w.clone(), seed ^ (j as u64) << 32)
-            })
-            .collect();
+        let detector = HeavyHitter::initialize(t, graph.clone(), inv_w, seed);
         DualMaintenance {
             vbar: v_init.clone(),
             fhat: vec![0.0; n],
             f_epoch: vec![vec![0.0; n]; scales],
             t_step: 0,
             period,
-            seed,
             graph,
             v_init,
             w,
             eps,
-            detectors,
+            detector,
         }
     }
 
@@ -105,41 +110,35 @@ impl DualMaintenance {
 
     /// Tighten/loosen accuracies (`SetAccuracy`): `Õ(|I|)` amortized.
     pub fn set_accuracy(&mut self, t: &mut Tracker, updates: &[(usize, f64)]) {
-        let mut sync = Vec::with_capacity(updates.len());
         for &(i, d) in updates {
             assert!(d > 0.0);
             self.w[i] = d;
             self.vbar[i] = self.exact(i);
-            sync.push((i, 0.0));
         }
         t.charge(Cost::par_flat(updates.len() as u64));
-        // detectors keep tracking with the *new* inverse-accuracy weight
+        // the detector keeps tracking with the *new* inverse-accuracy weight
         let reweight: Vec<(usize, f64)> = updates.iter().map(|&(i, d)| (i, 1.0 / d)).collect();
-        let _ = sync;
-        for j in 0..self.detectors.len() {
-            self.detectors[j].scale(t, &reweight);
-        }
+        self.detector.scale(t, &reweight);
     }
 
     /// One step (`Add`): `v ← v + A·h`; returns `(changed indices, v̄)`.
     pub fn add(&mut self, t: &mut Tracker, h: &[f64]) -> Vec<usize> {
         assert_eq!(h.len(), self.graph.n());
+        let mut guard = t.span_guard("ds/dual-add");
+        let t = &mut *guard;
         if self.t_step == self.period {
-            // reinitialize from the current exact state
-            let exact: Vec<f64> = (0..self.graph.m()).map(|i| self.exact(i)).collect();
+            // re-anchor at the current exact state; the detector
+            // already indexes the current weights 1/w and stays, and
+            // the previously reported v̄ is still within tolerance
+            for i in 0..self.graph.m() {
+                self.v_init[i] = self.exact(i);
+            }
             t.charge(Cost::par_flat(self.graph.m() as u64));
-            let fresh = DualMaintenance::initialize(
-                t,
-                self.graph.clone(),
-                exact,
-                self.w.clone(),
-                self.eps,
-                self.seed.wrapping_add(1),
-            );
-            let vbar_old = std::mem::take(&mut self.vbar);
-            *self = fresh;
-            // keep the previously reported v̄ (still within tolerance)
-            self.vbar = vbar_old;
+            self.fhat.fill(0.0);
+            for f in &mut self.f_epoch {
+                f.fill(0.0);
+            }
+            self.t_step = 0;
         }
         self.t_step += 1;
         for (f, &hi) in self.fhat.iter_mut().zip(h) {
@@ -149,15 +148,15 @@ impl DualMaintenance {
 
         let mut candidates = Vec::new();
         let log_n = (self.graph.n().max(4) as f64).log2();
-        for j in 0..self.detectors.len() {
+        for j in 0..self.f_epoch.len() {
             for (f, &hi) in self.f_epoch[j].iter_mut().zip(h) {
                 *f += hi;
             }
             if self.t_step.is_multiple_of(1usize << j) {
                 let eps_q = 0.2 * self.eps / log_n;
-                let found = self.detectors[j].heavy_query(t, &self.f_epoch[j], eps_q);
+                let found = self.detector.heavy_query(t, &self.f_epoch[j], eps_q);
                 candidates.extend(found);
-                self.f_epoch[j] = vec![0.0; self.graph.n()];
+                self.f_epoch[j].fill(0.0);
             }
         }
         t.charge(Cost::par_flat(self.graph.n() as u64)); // epoch vector updates
@@ -250,6 +249,33 @@ mod tests {
             assert!((exact[e] - want).abs() < 1e-9, "edge {e}");
         }
         assert!(dm.max_weighted_error() <= 0.3 + 1e-9);
+    }
+
+    #[test]
+    fn outputs_do_not_depend_on_the_seed() {
+        // the shared detector is sound only because heavy queries are
+        // exact whatever decomposition the seed picks: two seeds must
+        // agree bit for bit across several re-anchoring periods
+        let g = generators::gnm_digraph(16, 64, 13);
+        let mut t = Tracker::new();
+        let mut rng = SmallRng::seed_from_u64(14);
+        let v0: Vec<f64> = (0..64).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let w0: Vec<f64> = (0..64).map(|_| rng.gen_range(0.05..1.0)).collect();
+        let mut a = DualMaintenance::initialize(&mut t, g.clone(), v0.clone(), w0.clone(), 0.4, 1);
+        let mut b = DualMaintenance::initialize(&mut t, g, v0, w0, 0.4, 0xdead_beef);
+        let period = a.period;
+        let bits =
+            |dm: &DualMaintenance| -> Vec<u64> { dm.vbar().iter().map(|x| x.to_bits()).collect() };
+        for step in 0..4 * period + 1 {
+            let h: Vec<f64> = (0..16).map(|_| rng.gen_range(-0.3..0.3)).collect();
+            assert_eq!(a.add(&mut t, &h), b.add(&mut t, &h), "step {step}");
+            assert_eq!(bits(&a), bits(&b), "step {step}");
+            if step % 3 == 1 {
+                let up = [(rng.gen_range(0..64), rng.gen_range(0.01..2.0))];
+                a.set_accuracy(&mut t, &up);
+                b.set_accuracy(&mut t, &up);
+            }
+        }
     }
 
     #[test]

@@ -12,83 +12,92 @@
 use pmcf_graph::DiGraph;
 use pmcf_pram::{Cost, Tracker};
 
-/// Solve `argmax_{‖vw‖₂ + ‖w‖_∞ ≤ 1} ⟨x, w⟩` (Lemma D.2 / Corollary D.3).
+/// Solve `argmax_{‖v∘w‖₂ + ‖w‖_∞ ≤ 1} ⟨x, w⟩` exactly (Lemma D.2 /
+/// Corollary D.3).
 ///
-/// For a fixed ∞-budget `s`, the optimum is `w_i = sign(x_i)·min(s,
-/// c·|x_i|/v_i²)` with `c` saturating the ℓ₂ budget `1−s`; the objective
-/// is concave in `s`, so a ternary search over `s` with an inner binary
-/// search over `c` solves it. `O(K log² (1/tol))` work.
+/// For an ∞-budget `s` the optimum is `w_i = sign(x_i)·min(s, c·ρ_i)`
+/// with `ρ_i = |x_i|/v_i²` and `c` spending the ℓ₂ budget `1 − s`, so the
+/// capped coordinates are a prefix of the order by decreasing `ρ`. With
+/// the first `j` capped, `A_j = Σ_{i≤j} |x_i|`, `V_j = Σ_{i≤j} v_i²` and
+/// `Q_j = Σ_{i>j} |x_i|·ρ_i`, the objective is the concave
+/// `G_j(s) = s·A_j + √(Q_j((1−s)² − s²V_j))`, and piece `j` holds for
+/// `s` between the points where coordinates `j+1` and `j` reach the cap,
+/// `s = 1/(1 + √(V_j + Q_j/ρ²))`. Each piece's maximizer is closed-form;
+/// the best piece wins. One sort plus `O(K)` work.
 pub fn flat_max(x: &[f64], v: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), v.len());
-    let k = x.len();
-    if k == 0 {
-        return Vec::new();
-    }
     debug_assert!(v.iter().all(|&vi| vi > 0.0), "v must be positive");
-
-    // value and w for a given ∞-budget s
-    let eval = |s: f64| -> (f64, Vec<f64>) {
-        let r = 1.0 - s;
-        if r <= 0.0 {
-            // pure ∞ budget
-            let w: Vec<f64> = x.iter().map(|&xi| xi.signum() * s).collect();
-            let val = x.iter().map(|xi| xi.abs() * s).sum();
-            return (val, w);
+    let rho = |i: usize| x[i].abs() / (v[i] * v[i]);
+    // zero coordinates never pay: w_i = 0
+    let mut order: Vec<usize> = (0..x.len()).filter(|&i| x[i] != 0.0).collect();
+    order.sort_unstable_by(|&a, &b| rho(b).total_cmp(&rho(a)).then(a.cmp(&b)));
+    let k = order.len();
+    // Q_j as suffix sums, free of cancellation
+    let mut q = vec![0.0; k + 1];
+    for j in (0..k).rev() {
+        q[j] = q[j + 1] + x[order[j]].abs() * rho(order[j]);
+    }
+    let cap_edge = |vj: f64, qj: f64, r: f64| 1.0 / (1.0 + (vj + qj / (r * r)).sqrt());
+    let gap = |s: f64, vj: f64| ((1.0 - s) * (1.0 - s) - s * s * vj).max(0.0);
+    // best (value, s, capped prefix length, ℓ₂ multiplier c)
+    let mut best = (f64::NEG_INFINITY, 0.0, 0, 0.0);
+    let (mut a, mut vj, mut hi) = (0.0, 0.0, 1.0);
+    for j in 0..=k {
+        if j > 0 {
+            let i = order[j - 1];
+            a += x[i].abs();
+            vj += v[i] * v[i];
+            hi = cap_edge(vj, q[j], rho(i));
         }
-        // find c ≥ 0 with Σ v_i² min(s, c|x_i|/v_i²)² = r²
-        let norm_at = |c: f64| -> f64 {
-            x.iter()
-                .zip(v)
-                .map(|(&xi, &vi)| {
-                    let wi = (c * xi.abs() / (vi * vi)).min(s);
-                    vi * vi * wi * wi
-                })
-                .sum::<f64>()
-                .sqrt()
-        };
-        // bracket c
-        let mut hi = 1.0;
-        while norm_at(hi) < r && hi < 1e18 {
-            hi *= 2.0;
-        }
-        let norm_hi = norm_at(hi);
-        let c = if norm_hi < r {
-            hi // everything capped at s; cannot reach the budget
+        let lo = if j < k {
+            cap_edge(vj, q[j], rho(order[j]))
         } else {
-            let mut lo = 0.0;
-            let mut hi_b = hi;
-            for _ in 0..80 {
-                let mid = 0.5 * (lo + hi_b);
-                if norm_at(mid) < r {
-                    lo = mid;
-                } else {
-                    hi_b = mid;
-                }
-            }
-            0.5 * (lo + hi_b)
+            0.0
         };
-        let w: Vec<f64> = x
-            .iter()
-            .zip(v)
-            .map(|(&xi, &vi)| xi.signum() * (c * xi.abs() / (vi * vi)).min(s))
-            .collect();
-        let val = x.iter().zip(&w).map(|(a, b)| a * b).sum();
-        (val, w)
-    };
-
-    // ternary search over s ∈ [0, 1]
-    let mut lo = 0.0f64;
-    let mut hi = 1.0f64;
-    for _ in 0..60 {
-        let m1 = lo + (hi - lo) / 3.0;
-        let m2 = hi - (hi - lo) / 3.0;
-        if eval(m1).0 < eval(m2).0 {
-            lo = m1;
-        } else {
-            hi = m2;
+        // max/min rather than clamp: an underflowed edge (0/0) is NaN
+        let s = piece_argmax(a, vj, q[j]).max(lo).min(hi);
+        let val = s * a + (q[j] * gap(s, vj)).sqrt();
+        if val > best.0 {
+            let c = if q[j] > 0.0 {
+                (gap(s, vj) / q[j]).sqrt()
+            } else {
+                0.0
+            };
+            best = (val, s, j, c);
         }
     }
-    eval(0.5 * (lo + hi)).1
+    let (_, s, j, c) = best;
+    let mut w = vec![0.0; x.len()];
+    for (rank, &i) in order.iter().enumerate() {
+        let mag = if rank < j { s } else { (c * rho(i)).min(s) };
+        w[i] = mag.copysign(x[i]);
+    }
+    w
+}
+
+/// Unconstrained maximizer over `s ∈ [0, 1/(1+√V)]` of
+/// `G(s) = s·A + √(Q((1−s)² − s²V))`. Substituting
+/// `s/(1−s) = sin φ/√V` turns `G' = 0` into
+/// `A·cos φ − √(QV)·sin φ = √Q`, whose one root on `[0, π/2]` is
+/// `φ = arccos(√Q/R) − atan2(√(QV), A)` with `R² = A² + QV` (the
+/// arccosine taken as an `atan2`, accurate near `√Q ≈ R`).
+fn piece_argmax(a: f64, v: f64, q: f64) -> f64 {
+    if v == 0.0 {
+        // nothing capped (A = 0): G = √Q·(1 − s) falls
+        return 0.0;
+    }
+    let b = (q * v).sqrt();
+    let r2 = a * a + b * b;
+    if r2 <= q {
+        // G' < 0 on the whole interval
+        return 0.0;
+    }
+    let phi = (r2 - q).sqrt().atan2(q.sqrt()) - b.atan2(a);
+    if phi <= 0.0 {
+        return 0.0;
+    }
+    let sin = phi.sin();
+    sin / (v.sqrt() + sin)
 }
 
 /// The soft-max potential `Ψ(z) = Σ cosh(λ z_i)` and its gradient
@@ -214,10 +223,9 @@ impl GradientReduction {
     }
 
     /// Update coordinates: `g_i ← b_i`, `τ̃_i ← c_i`, `z_i ← d_i`
-    /// (Lemma D.4 `Update`): `Õ(|I|)` work. Returns new bucket per index.
-    pub fn update(&mut self, t: &mut Tracker, updates: &[(usize, f64, f64, f64)]) -> Vec<BucketId> {
+    /// (Lemma D.4 `Update`): `Õ(|I|)` work.
+    pub fn update(&mut self, t: &mut Tracker, updates: &[(usize, f64, f64, f64)]) {
         t.charge(Cost::par_flat(updates.len() as u64));
-        let mut out = Vec::with_capacity(updates.len());
         for &(i, gi, ti, zi) in updates {
             let old_b = self.bucket[i];
             self.add_to_agg(i, old_b, -1.0);
@@ -232,9 +240,7 @@ impl GradientReduction {
             let fb = self.flat(b);
             self.count[fb] += 1;
             self.add_to_agg(i, b, 1.0);
-            out.push(b);
         }
-        out
     }
 
     /// Current potential `Ψ(z)` (Lemma D.4 `Potential`, `Õ(1)`).
@@ -247,28 +253,31 @@ impl GradientReduction {
     /// `Õ(n + K)` work, `Õ(1)` depth.
     pub fn query(&self, t: &mut Tracker) -> (Vec<f64>, Vec<f64>) {
         let kk = self.count.len();
-        // low-dimensional representation of the gradient & norm weights
-        let mut x = vec![0.0; kk];
-        let mut v = vec![0.0; kk];
-        let mut occupied = Vec::new();
-        for idx in 0..kk {
-            let cnt = self.count[idx] as f64;
-            if cnt == 0.0 {
-                continue;
-            }
-            let k = (idx as u32) / self.l_levels;
-            let l = (idx as u32) % self.l_levels;
-            x[idx] = cnt * grad_psi(self.lambda, self.bucket_z(l));
-            v[idx] = (cnt * self.bucket_tau(k)).sqrt() * self.c_norm;
-            occupied.push(idx);
-        }
-        // maximizer on the occupied buckets only
-        let xs: Vec<f64> = occupied.iter().map(|&i| x[i]).collect();
-        let vs: Vec<f64> = occupied.iter().map(|&i| v[i]).collect();
+        // low-dimensional representation of the gradient & norm weights,
+        // on the occupied buckets only
+        let occupied: Vec<usize> = (0..kk).filter(|&idx| self.count[idx] > 0).collect();
+        let (xs, vs): (Vec<f64>, Vec<f64>) = occupied
+            .iter()
+            .map(|&idx| {
+                let cnt = self.count[idx] as f64;
+                let k = (idx as u32) / self.l_levels;
+                let l = (idx as u32) % self.l_levels;
+                (
+                    cnt * grad_psi(self.lambda, self.bucket_z(l)),
+                    (cnt * self.bucket_tau(k)).sqrt() * self.c_norm,
+                )
+            })
+            .unzip();
         let ws = flat_max(&xs, &vs);
+        let k_occ = occupied.len() as u64;
+        t.charge(
+            Cost::sort(k_occ)
+                .seq(Cost::par_flat(k_occ))
+                .seq(Cost::reduce(k_occ)),
+        );
         let mut s = vec![0.0; kk];
-        for (j, &idx) in occupied.iter().enumerate() {
-            s[idx] = ws[j];
+        for (&idx, &wj) in occupied.iter().zip(&ws) {
+            s[idx] = wj;
         }
         // v̄ = Σ_buckets s_b · w^{(b)}
         let n = self.graph.n();

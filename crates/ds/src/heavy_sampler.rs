@@ -52,10 +52,12 @@ impl HeavySampler {
 
     /// Update `g_i ← a_i`, `τ_i ← b_i` (Theorem E.2 `Scale`).
     pub fn scale(&mut self, t: &mut Tracker, updates: &[(usize, f64, f64)]) {
-        let gs: Vec<(usize, f64)> = updates.iter().map(|&(i, a, _)| (i, a)).collect();
-        let ts: Vec<(usize, f64)> = updates.iter().map(|&(i, _, b)| (i, b)).collect();
-        self.hitter.scale(t, &gs);
-        self.tau.scale(t, &ts);
+        t.span("ds/sampler-scale", |t| {
+            let gs: Vec<(usize, f64)> = updates.iter().map(|&(i, a, _)| (i, a)).collect();
+            let ts: Vec<(usize, f64)> = updates.iter().map(|&(i, _, b)| (i, b)).collect();
+            self.hitter.scale(t, &gs);
+            self.tau.scale(t, &ts);
+        })
     }
 
     /// All edges with `τ_e ≥ threshold` (output-sensitive; used to pin

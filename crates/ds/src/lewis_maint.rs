@@ -159,6 +159,8 @@ impl LewisMaintenance {
     /// `τ̄` changed (beyond ε/4 relatively) and the current weights.
     /// Amortized `Õ(m/√n + n)` work.
     pub fn query(&mut self, t: &mut Tracker) -> (Vec<usize>, &[f64]) {
+        let mut guard = t.span_guard("ds/lewis-query");
+        let t = &mut *guard;
         self.queries += 1;
         let rebuilt = self.queries.is_multiple_of(self.rebuild_every);
         if rebuilt {

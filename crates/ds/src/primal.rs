@@ -60,14 +60,14 @@ impl PrimalGradient {
 
     /// Update `g, τ̃, z` on coordinates (Theorem D.1 `Update`).
     pub fn update(&mut self, t: &mut Tracker, updates: &[(usize, f64, f64, f64)]) {
-        let _new_buckets = self.reduction.update(t, updates);
-        let moves: Vec<(usize, usize)> = updates
-            .iter()
-            .map(|&(i, ..)| (i, self.reduction.bucket_of(i)))
-            .collect();
-        self.accumulator.move_buckets(t, &moves);
-        let scales: Vec<(usize, f64)> = updates.iter().map(|&(i, g, ..)| (i, g)).collect();
-        self.accumulator.scale(t, &scales);
+        t.span("ds/primal-update", |t| {
+            self.reduction.update(t, updates);
+            let moves: Vec<(usize, usize, f64)> = updates
+                .iter()
+                .map(|&(i, g, ..)| (i, self.reduction.bucket_of(i), g))
+                .collect();
+            self.accumulator.move_and_scale(t, &moves);
+        })
     }
 
     /// Update accuracy weights (Theorem D.1 `SetAccuracy`).
@@ -78,9 +78,11 @@ impl PrimalGradient {
     /// `QueryProduct`: returns `v̄ = AᵀG(∇Ψ(z̄))^{♭(τ̄)} ∈ R^n`. Must be
     /// followed by [`PrimalGradient::query_sum`].
     pub fn query_product(&mut self, t: &mut Tracker) -> Vec<f64> {
-        let (vbar, s) = self.reduction.query(t);
-        self.last_s = Some(s);
-        vbar
+        t.span("ds/primal-product", |t| {
+            let (vbar, s) = self.reduction.query(t);
+            self.last_s = Some(s);
+            vbar
+        })
     }
 
     /// `QuerySum(h)`: accumulate the step from the last `query_product`
@@ -90,7 +92,7 @@ impl PrimalGradient {
             .last_s
             .take()
             .expect("query_sum must follow query_product");
-        self.accumulator.query(t, &s, h)
+        t.span("ds/primal-sum", |t| self.accumulator.query(t, &s, h))
     }
 
     /// The maintained primal approximation `x̄`.

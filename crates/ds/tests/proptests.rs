@@ -9,6 +9,125 @@ use pmcf_graph::generators;
 use pmcf_pram::Tracker;
 use proptest::prelude::*;
 
+/// The search `flat_max` used before its closed form, kept as an
+/// oracle: a ternary search over the ∞-budget `s` around a bisection for
+/// the ℓ₂ multiplier `c`, `w_i = sign(x_i)·min(s, c|x_i|/v_i²)`.
+fn flat_max_search(x: &[f64], v: &[f64]) -> Vec<f64> {
+    if x.is_empty() {
+        return Vec::new();
+    }
+    let eval = |s: f64| -> (f64, Vec<f64>) {
+        let r = 1.0 - s;
+        if r <= 0.0 {
+            let w: Vec<f64> = x.iter().map(|&xi| xi.signum() * s).collect();
+            let val = x.iter().map(|xi| xi.abs() * s).sum();
+            return (val, w);
+        }
+        let norm_at = |c: f64| -> f64 {
+            x.iter()
+                .zip(v)
+                .map(|(&xi, &vi)| {
+                    let wi = (c * xi.abs() / (vi * vi)).min(s);
+                    vi * vi * wi * wi
+                })
+                .sum::<f64>()
+                .sqrt()
+        };
+        let mut hi = 1.0;
+        while norm_at(hi) < r && hi < 1e18 {
+            hi *= 2.0;
+        }
+        let c = if norm_at(hi) < r {
+            hi
+        } else {
+            let (mut lo, mut hi_b) = (0.0, hi);
+            for _ in 0..80 {
+                let mid = 0.5 * (lo + hi_b);
+                if norm_at(mid) < r {
+                    lo = mid;
+                } else {
+                    hi_b = mid;
+                }
+            }
+            0.5 * (lo + hi_b)
+        };
+        let w: Vec<f64> = x
+            .iter()
+            .zip(v)
+            .map(|(&xi, &vi)| xi.signum() * (c * xi.abs() / (vi * vi)).min(s))
+            .collect();
+        let val = x.iter().zip(&w).map(|(a, b)| a * b).sum();
+        (val, w)
+    };
+    let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    for _ in 0..60 {
+        let m1 = lo + (hi - lo) / 3.0;
+        let m2 = hi - (hi - lo) / 3.0;
+        if eval(m1).0 < eval(m2).0 {
+            lo = m1;
+        } else {
+            hi = m2;
+        }
+    }
+    eval(0.5 * (lo + hi)).1
+}
+
+fn dot(x: &[f64], w: &[f64]) -> f64 {
+    x.iter().zip(w).map(|(a, b)| a * b).sum()
+}
+
+/// `‖v∘w‖₂ + ‖w‖_∞`.
+fn flat_norm(w: &[f64], v: &[f64]) -> f64 {
+    let l2 = w
+        .iter()
+        .zip(v)
+        .map(|(wi, vi)| (wi * vi) * (wi * vi))
+        .sum::<f64>()
+        .sqrt();
+    l2 + w.iter().fold(0.0f64, |a, &wi| a.max(wi.abs()))
+}
+
+/// The closed form against the oracle: at least its objective, feasible,
+/// sign-aligned, and zero exactly where `x` is.
+fn check_flat_max(x: &[f64], v: &[f64]) {
+    let w = flat_max(x, v);
+    assert_eq!(w.len(), x.len());
+    let (got, want) = (dot(x, &w), dot(x, &flat_max_search(x, v)));
+    assert!(
+        got >= want * (1.0 - 1e-12),
+        "objective {} < oracle {}",
+        got,
+        want
+    );
+    assert!(
+        flat_norm(&w, v) <= 1.0 + 1e-12,
+        "flat norm {}",
+        flat_norm(&w, v)
+    );
+    for (&wi, &xi) in w.iter().zip(x) {
+        assert!(wi * xi >= 0.0);
+        if xi == 0.0 {
+            assert!(wi == 0.0);
+        }
+    }
+}
+
+#[test]
+fn flat_max_edge_cases() {
+    check_flat_max(&[], &[]);
+    check_flat_max(&[0.0; 5], &[0.5, 1.0, 2.0, 1e-2, 1e5]);
+    assert!(flat_max(&[0.0; 5], &[1.0; 5]).iter().all(|&w| w == 0.0));
+    for (x, v) in [(2.0, 3.0), (-2.0, 3.0), (1e-3, 1e5), (7.0, 1e-2)] {
+        check_flat_max(&[x], &[v]);
+        // one coordinate: |w| + v|w| ≤ 1, so w = sign(x)/(1 + v)
+        let w = flat_max(&[x], &[v])[0];
+        assert!(
+            (w - x.signum() / (1.0 + v)).abs() <= 1e-15,
+            "x={x} v={v}: w={w}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -52,6 +171,16 @@ proptest! {
             .map(|(e, _)| e)
             .collect();
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn flat_max_matches_search_oracle(
+        coords in prop::collection::vec((-5.0f64..5.0, 0u8..10, -2.0f64..5.0), 1..200),
+    ) {
+        // ~10% exact zeros; v log-uniform over 1e-2..1e5
+        let x: Vec<f64> = coords.iter().map(|&(x, z, _)| if z == 0 { 0.0 } else { x }).collect();
+        let v: Vec<f64> = coords.iter().map(|&(.., e)| 10f64.powf(e)).collect();
+        check_flat_max(&x, &v);
     }
 
     #[test]
