@@ -9,12 +9,13 @@
 //! without touching all `m` coordinates per step: per bucket `k` only the
 //! cumulative step sum `f_k = Σ_ℓ s_k^{(ℓ)}` advances; a coordinate is
 //! lazily synced when its accumulated drift `|g_i (f_k − f_k^{sync_i})|`
-//! could exceed its accuracy `ε_i/10`. Two ordered maps per bucket (by
+//! could exceed its accuracy `ε_i/10`. Two min-heaps per bucket (by
 //! upper / lower drift threshold) make finding violators
 //! output-sensitive.
 
 use pmcf_pram::{Cost, Tracker};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Monotone order-preserving mapping f64 → u64 (total order, NaN-free).
 fn okey(x: f64) -> u64 {
@@ -25,6 +26,16 @@ fn okey(x: f64) -> u64 {
         b | (1 << 63)
     }
 }
+
+/// A threshold entry `(key, coordinate, version)`. Deletion is lazy: an
+/// entry is live while its version matches the coordinate's, so re-keying
+/// a coordinate only bumps its version and pushes a fresh entry.
+type Entry = Reverse<(u64, usize, u64)>;
+
+/// Stale entries a heap may hold beyond its live ones before it is
+/// compacted: compaction runs once stale entries outnumber live ones
+/// (plus this slack, so near-empty buckets do not rebuild on every move).
+const STALE_SLACK: usize = 4;
 
 /// The accumulator.
 pub struct GradientAccumulator {
@@ -40,11 +51,16 @@ pub struct GradientAccumulator {
     f: Vec<f64>,
     /// Value of `f[bucket(i)]` when `xbar[i]` was last synced.
     fsync: Vec<f64>,
-    /// Per bucket: coordinates ordered by upper violation threshold.
-    hi: Vec<BTreeMap<(u64, usize), ()>>,
-    /// Per bucket: coordinates ordered by lower violation threshold
-    /// (negated so smallest key = most urgent).
-    lo: Vec<BTreeMap<(u64, usize), ()>>,
+    /// Version of each coordinate's current threshold entries.
+    version: Vec<u64>,
+    /// Per bucket: number of coordinates it holds (= live entries in each
+    /// of its two heaps).
+    live: Vec<usize>,
+    /// Per bucket: coordinates by upper violation threshold.
+    hi: Vec<BinaryHeap<Entry>>,
+    /// Per bucket: coordinates by lower violation threshold (negated so
+    /// smallest key = most urgent).
+    lo: Vec<BinaryHeap<Entry>>,
     /// Query counter.
     t_step: usize,
 }
@@ -71,8 +87,10 @@ impl GradientAccumulator {
             bucket,
             f: vec![0.0; num_buckets],
             fsync: vec![0.0; m],
-            hi: (0..num_buckets).map(|_| BTreeMap::new()).collect(),
-            lo: (0..num_buckets).map(|_| BTreeMap::new()).collect(),
+            version: vec![0; m],
+            live: vec![0; num_buckets],
+            hi: (0..num_buckets).map(|_| BinaryHeap::new()).collect(),
+            lo: (0..num_buckets).map(|_| BinaryHeap::new()).collect(),
             t_step: 0,
         };
         for i in 0..m {
@@ -90,15 +108,48 @@ impl GradientAccumulator {
     fn insert_thresholds(&mut self, i: usize) {
         let b = self.bucket[i];
         let d = self.drift_allowance(i);
-        self.hi[b].insert((okey(self.fsync[i] + d), i), ());
-        self.lo[b].insert((okey(-(self.fsync[i] - d)), i), ());
+        let ver = self.version[i];
+        self.live[b] += 1;
+        self.hi[b].push(Reverse((okey(self.fsync[i] + d), i, ver)));
+        self.lo[b].push(Reverse((okey(-(self.fsync[i] - d)), i, ver)));
+        self.compact(b);
     }
 
     fn remove_thresholds(&mut self, i: usize) {
         let b = self.bucket[i];
-        let d = self.drift_allowance(i);
-        self.hi[b].remove(&(okey(self.fsync[i] + d), i));
-        self.lo[b].remove(&(okey(-(self.fsync[i] - d)), i));
+        self.version[i] += 1;
+        self.live[b] -= 1;
+        if self.live[b] == 0 {
+            // every entry left is stale: release the bucket's storage
+            self.hi[b] = BinaryHeap::new();
+            self.lo[b] = BinaryHeap::new();
+        } else {
+            self.compact(b);
+        }
+    }
+
+    /// Drop bucket `b`'s stale entries once they outnumber its live ones,
+    /// and release capacity a draining bucket no longer needs.
+    fn compact(&mut self, b: usize) {
+        let cap = 2 * self.live[b] + STALE_SLACK;
+        let version = &self.version;
+        for heap in [&mut self.hi[b], &mut self.lo[b]] {
+            if heap.len() > cap {
+                heap.retain(|&Reverse((_, i, ver))| version[i] == ver);
+                heap.shrink_to(cap);
+            }
+        }
+    }
+
+    /// The smallest live entry of `heap`, discarding stale ones on top.
+    fn peek_live(heap: &mut BinaryHeap<Entry>, version: &[u64]) -> Option<(u64, usize)> {
+        while let Some(&Reverse((key, i, ver))) = heap.peek() {
+            if version[i] == ver {
+                return Some((key, i));
+            }
+            heap.pop();
+        }
+        None
     }
 
     /// Bring `xbar[i]` up to date (plus optional direct increment `h`).
@@ -164,14 +215,14 @@ impl GradientAccumulator {
         // violators: f_k beyond a stored threshold
         for k in 0..self.f.len() {
             let fk = self.f[k];
-            while let Some((&(key, i), ())) = self.hi[k].iter().next() {
+            while let Some((key, i)) = Self::peek_live(&mut self.hi[k], &self.version) {
                 if key >= okey(fk) {
                     break;
                 }
                 self.sync(i, 0.0, &mut changed);
                 touched += 1;
             }
-            while let Some((&(key, i), ())) = self.lo[k].iter().next() {
+            while let Some((key, i)) = Self::peek_live(&mut self.lo[k], &self.version) {
                 if key >= okey(-fk) {
                     break;
                 }
@@ -233,6 +284,157 @@ mod tests {
         }
     }
 
+    /// The accumulator with its threshold index as it was before the
+    /// heaps: two ordered maps per bucket, re-keyed eagerly. Kept as the
+    /// oracle the heap index must match bit for bit.
+    struct MapAccumulator {
+        xbar: Vec<f64>,
+        g: Vec<f64>,
+        eps: Vec<f64>,
+        bucket: Vec<usize>,
+        f: Vec<f64>,
+        fsync: Vec<f64>,
+        hi: Vec<std::collections::BTreeMap<(u64, usize), ()>>,
+        lo: Vec<std::collections::BTreeMap<(u64, usize), ()>>,
+    }
+
+    impl MapAccumulator {
+        fn initialize(
+            t: &mut Tracker,
+            x_init: Vec<f64>,
+            g: Vec<f64>,
+            bucket: Vec<usize>,
+            num_buckets: usize,
+            eps: Vec<f64>,
+        ) -> Self {
+            let m = x_init.len();
+            let mut s = MapAccumulator {
+                xbar: x_init,
+                g,
+                eps,
+                bucket,
+                f: vec![0.0; num_buckets],
+                fsync: vec![0.0; m],
+                hi: vec![Default::default(); num_buckets],
+                lo: vec![Default::default(); num_buckets],
+            };
+            for i in 0..m {
+                s.insert_thresholds(i);
+            }
+            t.charge(Cost::sort(m as u64));
+            s
+        }
+
+        fn keys(&self, i: usize) -> (u64, u64) {
+            let gi = self.g[i].abs().max(1e-300);
+            let d = (self.eps[i] / (10.0 * gi)).max(1e-300);
+            (okey(self.fsync[i] + d), okey(-(self.fsync[i] - d)))
+        }
+
+        fn insert_thresholds(&mut self, i: usize) {
+            let (b, (h, l)) = (self.bucket[i], self.keys(i));
+            self.hi[b].insert((h, i), ());
+            self.lo[b].insert((l, i), ());
+        }
+
+        fn remove_thresholds(&mut self, i: usize) {
+            let (b, (h, l)) = (self.bucket[i], self.keys(i));
+            self.hi[b].remove(&(h, i));
+            self.lo[b].remove(&(l, i));
+        }
+
+        fn sync(&mut self, i: usize, h: f64, changed: &mut Vec<usize>) {
+            self.remove_thresholds(i);
+            let b = self.bucket[i];
+            let delta = self.g[i] * (self.f[b] - self.fsync[i]) + h;
+            if delta != 0.0 {
+                self.xbar[i] += delta;
+                changed.push(i);
+            }
+            self.fsync[i] = self.f[b];
+            self.insert_thresholds(i);
+        }
+
+        fn move_and_scale(&mut self, t: &mut Tracker, updates: &[(usize, usize, f64)]) {
+            let len = updates.len() as u64;
+            t.charge(Cost::par_flat(len).seq(Cost::par_flat(len)));
+            for &(i, k, a) in updates {
+                self.remove_thresholds(i);
+                let delta = self.g[i] * (self.f[self.bucket[i]] - self.fsync[i]);
+                if delta != 0.0 {
+                    self.xbar[i] += delta;
+                }
+                self.bucket[i] = k;
+                self.fsync[i] = self.f[k];
+                self.g[i] = a;
+                self.insert_thresholds(i);
+            }
+        }
+
+        fn set_accuracy(&mut self, t: &mut Tracker, updates: &[(usize, f64)]) {
+            t.charge(Cost::par_flat(updates.len() as u64));
+            let mut changed = Vec::new();
+            for &(i, d) in updates {
+                self.sync(i, 0.0, &mut changed);
+                self.remove_thresholds(i);
+                self.eps[i] = d;
+                self.insert_thresholds(i);
+            }
+        }
+
+        fn query(&mut self, t: &mut Tracker, s: &[f64], h: &[(usize, f64)]) -> Vec<usize> {
+            let mut changed = Vec::new();
+            for (fk, sk) in self.f.iter_mut().zip(s) {
+                *fk += sk;
+            }
+            let mut touched = s.len() as u64 + h.len() as u64;
+            for &(i, hi) in h {
+                self.sync(i, hi, &mut changed);
+            }
+            for k in 0..self.f.len() {
+                let fk = self.f[k];
+                while let Some((&(key, i), ())) = self.hi[k].iter().next() {
+                    if key >= okey(fk) {
+                        break;
+                    }
+                    self.sync(i, 0.0, &mut changed);
+                    touched += 1;
+                }
+                while let Some((&(key, i), ())) = self.lo[k].iter().next() {
+                    if key >= okey(-fk) {
+                        break;
+                    }
+                    self.sync(i, 0.0, &mut changed);
+                    touched += 1;
+                }
+            }
+            t.charge(Cost::new(
+                touched.max(1),
+                pmcf_pram::par_depth(touched.max(1)),
+            ));
+            changed.sort_unstable();
+            changed.dedup();
+            changed
+        }
+
+        fn compute_exact(&mut self, t: &mut Tracker) -> Vec<f64> {
+            let mut changed = Vec::new();
+            for i in 0..self.xbar.len() {
+                self.sync(i, 0.0, &mut changed);
+            }
+            t.charge(Cost::par_flat(self.xbar.len() as u64));
+            self.xbar.clone()
+        }
+    }
+
+    /// Every bucket's heaps hold their live entries plus bounded slack.
+    fn heaps_are_compact(acc: &GradientAccumulator) -> bool {
+        (0..acc.f.len()).all(|b| {
+            let cap = 2 * acc.live[b] + STALE_SLACK;
+            acc.hi[b].len() <= cap && acc.lo[b].len() <= cap
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -273,6 +475,66 @@ mod tests {
                 ef.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 es.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             );
+        }
+
+        #[test]
+        fn heap_index_matches_map_oracle(
+            seed in 0u64..1_000_000,
+            m in 1usize..80,
+            num_buckets in 1usize..48,
+            ops in 1usize..120,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g: Vec<f64> = (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let bucket: Vec<usize> = (0..m).map(|_| rng.gen_range(0..num_buckets)).collect();
+            let eps: Vec<f64> = (0..m).map(|_| rng.gen_range(1e-4..0.1)).collect();
+            let x0: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let (mut th, mut to) = (Tracker::new(), Tracker::new());
+            let mut heap = GradientAccumulator::initialize(
+                &mut th, x0.clone(), g.clone(), bucket.clone(), num_buckets, eps.clone());
+            let mut map = MapAccumulator::initialize(&mut to, x0, g, bucket, num_buckets, eps);
+            prop_assert_eq!(th.total(), to.total());
+            let bits = |x: &[f64]| -> Vec<u64> { x.iter().map(|v| v.to_bits()).collect() };
+            for _ in 0..ops {
+                let (mut th, mut to) = (Tracker::new(), Tracker::new());
+                match rng.gen_range(0..10u32) {
+                    0..=2 => {
+                        let up: Vec<(usize, usize, f64)> = (0..rng.gen_range(0..8))
+                            .map(|_| (rng.gen_range(0..m), rng.gen_range(0..num_buckets),
+                                      rng.gen_range(-3.0..3.0)))
+                            .collect();
+                        heap.move_and_scale(&mut th, &up);
+                        map.move_and_scale(&mut to, &up);
+                    }
+                    3 => {
+                        let up: Vec<(usize, f64)> = (0..rng.gen_range(0..6))
+                            .map(|_| (rng.gen_range(0..m), rng.gen_range(1e-4..0.1)))
+                            .collect();
+                        heap.set_accuracy(&mut th, &up);
+                        map.set_accuracy(&mut to, &up);
+                    }
+                    4 => {
+                        let (eh, eo) = (heap.compute_exact(&mut th), map.compute_exact(&mut to));
+                        prop_assert_eq!(bits(&eh), bits(&eo));
+                    }
+                    _ => {
+                        // mostly tiny steps, now and then one that trips
+                        // many thresholds at once
+                        let scale = if rng.gen_bool(0.2) { 1.0 } else { 1e-3 };
+                        let s: Vec<f64> = (0..num_buckets)
+                            .map(|_| rng.gen_range(-scale..scale))
+                            .collect();
+                        let h: Vec<(usize, f64)> = (0..rng.gen_range(0..4))
+                            .map(|_| (rng.gen_range(0..m), rng.gen_range(-0.5..0.5)))
+                            .collect();
+                        let (jh, jo) = (heap.query(&mut th, &s, &h), map.query(&mut to, &s, &h));
+                        prop_assert_eq!(jh, jo);
+                    }
+                }
+                prop_assert_eq!(th.total(), to.total());
+                prop_assert_eq!(bits(heap.xbar()), bits(&map.xbar));
+                prop_assert!(heaps_are_compact(&heap));
+            }
         }
     }
 

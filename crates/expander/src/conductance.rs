@@ -66,65 +66,110 @@ pub fn cut_conductance(g: &UGraph, in_s: &[bool]) -> Option<f64> {
 /// iteration on the lazy random walk `W = (I + D⁻¹A)/2`, deflating the
 /// stationary (degree) direction. Isolated vertices get value 0.
 pub fn approx_fiedler(g: &UGraph, iters: usize, seed: u64) -> Vec<f64> {
+    let [x] = fiedler_lanes(g, iters, [seed]);
+    x
+}
+
+/// `L` independent [`approx_fiedler`] runs, one per seed, advanced in
+/// lockstep: each lane's arithmetic is exactly its solo run's, in the
+/// same order, but the lanes share one pass over the neighbour lists and
+/// their dependency chains overlap.
+///
+/// Allocation-free across iterations: the neighbour lists are flattened
+/// once, two buffers swap roles, the deflation's `D`-inner product is
+/// summed during the matvec and the norm during the deflation.
+fn fiedler_lanes<const L: usize>(g: &UGraph, iters: usize, seeds: [u64; L]) -> [Vec<f64>; L] {
     let n = g.n();
-    let mut rng = SmallRng::seed_from_u64(seed);
     let deg: Vec<f64> = (0..n).map(|v| g.degree(v) as f64).collect();
     let total: f64 = deg.iter().sum();
     if total == 0.0 {
-        return vec![0.0; n];
+        return std::array::from_fn(|_| vec![0.0; n]);
     }
-    let mut x: Vec<f64> = (0..n)
-        .map(|v| {
-            if deg[v] > 0.0 {
+    // neighbour lists in CSR form, each row in adjacency (edge) order
+    let mut off = Vec::with_capacity(n + 1);
+    let mut nbr = Vec::with_capacity(g.total_volume());
+    off.push(0);
+    for u in 0..n {
+        nbr.extend(g.neighbors(u).iter().map(|&(w, _)| w));
+        off.push(nbr.len());
+    }
+    let randomize = |z: &mut [[f64; L]], r: usize, rng: &mut SmallRng| {
+        for (zi, &di) in z.iter_mut().zip(&deg) {
+            zi[r] = if di > 0.0 {
                 rng.gen_range(-1.0..1.0)
             } else {
                 0.0
-            }
-        })
-        .collect();
-    let deflate = |x: &mut Vec<f64>| {
+            };
+        }
+    };
+    let deflate = |z: &mut [[f64; L]], r: usize| {
         // remove the component along 1 in the D-inner-product (the top
         // eigenvector of the random walk)
-        let c: f64 = x.iter().zip(&deg).map(|(xi, di)| xi * di).sum::<f64>() / total;
-        for (xi, &di) in x.iter_mut().zip(&deg) {
+        let c: f64 = z.iter().zip(&deg).map(|(zi, di)| zi[r] * di).sum::<f64>() / total;
+        for (zi, &di) in z.iter_mut().zip(&deg) {
             if di > 0.0 {
-                *xi -= c;
+                zi[r] -= c;
             }
         }
     };
-    deflate(&mut x);
-    for _ in 0..iters {
-        let mut y = vec![0.0; n];
-        for (u, row) in (0..n).map(|u| (u, g.neighbors(u))) {
-            if deg[u] == 0.0 {
-                continue;
-            }
-            let mut acc = 0.0;
-            for &(w, _) in row {
-                acc += x[w];
-            }
-            y[u] = 0.5 * x[u] + 0.5 * acc / deg[u];
-        }
-        deflate(&mut y);
-        let norm: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm < 1e-300 {
-            // eigen-gap collapsed; re-randomize
-            for (v, yi) in y.iter_mut().enumerate() {
-                *yi = if deg[v] > 0.0 {
-                    rng.gen_range(-1.0..1.0)
-                } else {
-                    0.0
-                };
-            }
-            deflate(&mut y);
-        } else {
-            for yi in y.iter_mut() {
-                *yi /= norm;
-            }
-        }
-        x = y;
+    let mut rngs = seeds.map(SmallRng::seed_from_u64);
+    // lane r of vertex v lives at x[v][r]
+    let mut x = vec![[0.0; L]; n];
+    for (r, rng) in rngs.iter_mut().enumerate() {
+        randomize(&mut x, r, rng);
+        deflate(&mut x, r);
     }
-    x
+    let mut y = vec![[0.0; L]; n];
+    for _ in 0..iters {
+        // y = W x, summing ⟨y, 1⟩_D on the way
+        let mut dot = [0.0; L];
+        for u in 0..n {
+            let yu = if deg[u] == 0.0 {
+                [0.0; L]
+            } else {
+                let mut acc = [0.0; L];
+                for &w in &nbr[off[u]..off[u + 1]] {
+                    for r in 0..L {
+                        acc[r] += x[w][r];
+                    }
+                }
+                std::array::from_fn(|r| 0.5 * x[u][r] + 0.5 * acc[r] / deg[u])
+            };
+            y[u] = yu;
+            for r in 0..L {
+                dot[r] += yu[r] * deg[u];
+            }
+        }
+        // deflate, summing ‖y‖² on the way
+        let c = dot.map(|d| d / total);
+        let mut sq = [0.0; L];
+        for (yi, &di) in y.iter_mut().zip(&deg) {
+            for r in 0..L {
+                if di > 0.0 {
+                    yi[r] -= c[r];
+                }
+                sq[r] += yi[r] * yi[r];
+            }
+        }
+        // normalize, or re-randomize a lane whose eigen-gap collapsed
+        let norm = sq.map(f64::sqrt);
+        let collapsed = norm.map(|v| v < 1e-300);
+        for yi in y.iter_mut() {
+            for r in 0..L {
+                if !collapsed[r] {
+                    yi[r] /= norm[r];
+                }
+            }
+        }
+        for (r, rng) in rngs.iter_mut().enumerate() {
+            if collapsed[r] {
+                randomize(&mut y, r, rng);
+                deflate(&mut y, r);
+            }
+        }
+        std::mem::swap(&mut x, &mut y);
+    }
+    std::array::from_fn(|r| x.iter().map(|xi| xi[r]).collect())
 }
 
 /// Sweep cut: sort vertices by `score/deg`-style embedding value and take
@@ -200,11 +245,32 @@ pub fn rayleigh_quotient(g: &UGraph, x: &[f64]) -> f64 {
     }
 }
 
+/// Power-iteration rounds for a sparse-cut search in an `n`-vertex host
+/// at target `φ`: `⌈3 ln n / φ⌉`, clamped to `12..=100`. The one count
+/// both run and charged by every caller.
+pub fn power_iterations(n: usize, phi: f64) -> usize {
+    let iters = (3.0 * (n.max(2) as f64).ln() / phi.max(1e-3)).ceil() as usize;
+    iters.clamp(12, 100)
+}
+
 /// Decide (heuristically, one-sided) whether `g` is a `φ`-expander: run a
 /// few Fiedler rounds with different seeds; if any sweep cut has
 /// conductance `< φ` return that cut as a witness, otherwise declare it
 /// an expander.
 pub fn find_sparse_cut(g: &UGraph, phi: f64, seed: u64) -> Option<(Vec<bool>, f64)> {
+    find_sparse_cut_with(g, phi, power_iterations(g.n(), phi), seed)
+}
+
+/// [`find_sparse_cut`] running `iters` power iterations per round. The
+/// static decomposition searches subgraphs compacted to their support
+/// but keeps the host's iteration count, so its cuts do not depend on
+/// how many isolated vertices the host carries.
+pub(crate) fn find_sparse_cut_with(
+    g: &UGraph,
+    phi: f64,
+    iters: usize,
+    seed: u64,
+) -> Option<(Vec<bool>, f64)> {
     if g.m() == 0 || g.support().len() < 2 {
         return None;
     }
@@ -219,12 +285,11 @@ pub fn find_sparse_cut(g: &UGraph, phi: f64, seed: u64) -> Option<(Vec<bool>, f6
             return Some((mask, phi_cut));
         }
     }
-    let iters = (3.0 * (g.n().max(2) as f64).ln() / phi.max(1e-3)).ceil() as usize;
-    let iters = iters.clamp(12, 100);
+    // three seeded rounds, run as lanes of one power iteration
+    let rounds = fiedler_lanes(g, iters, [0, 1, 2].map(|r| seed.wrapping_add(r)));
     let mut best: Option<(Vec<bool>, f64)> = None;
-    for round in 0..3u64 {
-        let x = approx_fiedler(g, iters, seed.wrapping_add(round));
-        if let Some((mask, phi_cut)) = sweep_cut(g, &x) {
+    for x in &rounds {
+        if let Some((mask, phi_cut)) = sweep_cut(g, x) {
             if best.as_ref().is_none_or(|b| phi_cut < b.1) {
                 best = Some((mask, phi_cut));
             }

@@ -15,7 +15,7 @@
 //! *edge-partitioned* decomposition where each vertex appears in `Õ(1)`
 //! parts.
 
-use crate::conductance::find_sparse_cut;
+use crate::conductance::{find_sparse_cut, find_sparse_cut_with, power_iterations};
 use pmcf_graph::{EdgeId, UGraph, Vertex};
 use pmcf_pram::{Cost, Tracker};
 
@@ -45,9 +45,21 @@ const PAR_CUTOFF: usize = 32;
 /// derived per node from the recursion path (not from visit order), so
 /// the output is deterministic and independent of thread scheduling.
 pub fn vertex_decompose(t: &mut Tracker, g: &UGraph, phi: f64, seed: u64) -> Vec<Vec<Vertex>> {
+    let root = Support::new(g.n(), g.edges().iter().copied(), |v| v);
+    decompose_host(t, &root, g.n(), phi, seed)
+}
+
+/// [`vertex_decompose`] of an `n`-vertex host whose edges are `root`.
+fn decompose_host(
+    t: &mut Tracker,
+    root: &Support,
+    n: usize,
+    phi: f64,
+    seed: u64,
+) -> Vec<Vec<Vertex>> {
     let _trace = pmcf_obs::trace_scope("expander/vertex-decompose");
-    let all: Vec<Vertex> = (0..g.n()).collect();
-    decompose_subset(t, g, phi, all, mix_salt(seed, 0))
+    let iters = power_iterations(n, phi);
+    decompose_subset(t, root, iters, phi, (0..n).collect(), mix_salt(seed, 0))
 }
 
 /// SplitMix64-style finalizer: derives a child salt from the parent's,
@@ -62,9 +74,59 @@ fn mix_salt(s: u64, side: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The edges inside a recursion node's vertex subset, on the subset's
+/// *support* only (the vertices with an edge inside it). Local ids follow
+/// increasing global order and edges keep host edge-id order, so the
+/// power iteration draws, sums and sorts exactly as it would over the
+/// whole host with the isolated vertices left in (DESIGN.md §2).
+struct Support {
+    g: UGraph,
+    /// Global id of each local vertex, increasing.
+    glob: Vec<Vertex>,
+}
+
+impl Support {
+    /// The support of `ends`, edges over `n` parent vertices whose global
+    /// ids are `glob(l)`. Keeps the edges' order.
+    fn new(
+        n: usize,
+        ends: impl Iterator<Item = (Vertex, Vertex)> + Clone,
+        glob: impl Fn(usize) -> Vertex,
+    ) -> Support {
+        let mut local = vec![usize::MAX; n];
+        for (u, v) in ends.clone() {
+            local[u] = 0;
+            local[v] = 0;
+        }
+        let mut sub_glob = Vec::new();
+        for (l, id) in local.iter_mut().enumerate() {
+            if *id == 0 {
+                *id = sub_glob.len();
+                sub_glob.push(glob(l));
+            }
+        }
+        let edges = ends.map(|(u, v)| (local[u], local[v])).collect();
+        Support {
+            g: UGraph::from_edges(sub_glob.len(), edges),
+            glob: sub_glob,
+        }
+    }
+
+    /// The support of the edges with both ends on side `on` of `mask`.
+    fn side(&self, mask: &[bool], on: bool) -> Support {
+        let ends = self.g.edges().iter().copied();
+        let inside = ends.filter(move |&(u, v)| mask[u] == on && mask[v] == on);
+        Support::new(self.g.n(), inside, |l| self.glob[l])
+    }
+}
+
+/// Decompose `subset` (global ids, increasing), whose induced edges are
+/// `sub`. `iters` is the host's power-iteration count: it is charged and
+/// run at every node whatever the subset's size.
 fn decompose_subset(
     t: &mut Tracker,
-    g: &UGraph,
+    sub: &Support,
+    iters: usize,
     phi: f64,
     subset: Vec<Vertex>,
     salt: u64,
@@ -76,20 +138,26 @@ fn decompose_subset(
             vec![subset]
         };
     }
-    let mut keep = vec![false; g.n()];
-    for &v in &subset {
-        keep[v] = true;
-    }
-    let (sub, _) = g.induced(&keep);
     // Cost: one power-iteration phase over the induced subgraph.
-    let iters = ((3.0 * (sub.n().max(2) as f64).ln() / phi.max(1e-3)) as u64).clamp(12, 100);
-    t.charge(Cost::par_for(iters, Cost::par_flat(sub.m().max(1) as u64)));
-    match find_sparse_cut(&sub, phi, salt) {
+    t.charge(Cost::par_for(
+        iters as u64,
+        Cost::par_flat(sub.g.m().max(1) as u64),
+    ));
+    match find_sparse_cut_with(&sub.g, phi, iters, salt) {
         None => vec![subset],
         Some((mask, _)) => {
+            // support vertices follow the mask; isolated ones go right
             let (mut left, mut right) = (Vec::new(), Vec::new());
+            let mut support = sub.glob.iter().zip(&mask).peekable();
             for &v in &subset {
-                if mask[v] {
+                let in_left = match support.peek() {
+                    Some(&(&w, &m)) if w == v => {
+                        support.next();
+                        m
+                    }
+                    _ => false,
+                };
+                if in_left {
                     left.push(v);
                 } else {
                     right.push(v);
@@ -101,16 +169,13 @@ fn decompose_subset(
                 return vec![subset];
             }
             let (ls, rs) = (mix_salt(salt, 1), mix_salt(salt, 2));
+            let side = |t: &mut Tracker, verts: Vec<Vertex>, on: bool, salt: u64| {
+                decompose_subset(t, &sub.side(&mask, on), iters, phi, verts, salt)
+            };
             let (mut a, b) = if left.len().min(right.len()) >= PAR_CUTOFF {
-                t.par_join(
-                    |t| decompose_subset(t, g, phi, left, ls),
-                    |t| decompose_subset(t, g, phi, right, rs),
-                )
+                t.par_join(|t| side(t, left, true, ls), |t| side(t, right, false, rs))
             } else {
-                t.join(
-                    |t| decompose_subset(t, g, phi, left, ls),
-                    |t| decompose_subset(t, g, phi, right, rs),
-                )
+                t.join(|t| side(t, left, true, ls), |t| side(t, right, false, rs))
             };
             a.extend(b);
             a
@@ -131,8 +196,9 @@ pub fn edge_decompose(t: &mut Tracker, g: &UGraph, phi: f64, seed: u64) -> Vec<E
         if remaining.is_empty() {
             break;
         }
-        let (sub, orig) = g.edge_subgraph(&remaining);
-        let clusters = vertex_decompose(t, &sub, phi, seed.wrapping_add(round as u64));
+        let ends = remaining.iter().map(|&e| g.endpoints(e));
+        let root = Support::new(g.n(), ends, |v| v);
+        let clusters = decompose_host(t, &root, g.n(), phi, seed.wrapping_add(round as u64));
         let mut cluster_of = vec![usize::MAX; g.n()];
         for (ci, cluster) in clusters.iter().enumerate() {
             for &v in cluster {
@@ -141,14 +207,15 @@ pub fn edge_decompose(t: &mut Tracker, g: &UGraph, phi: f64, seed: u64) -> Vec<E
         }
         let mut part_edges: Vec<Vec<EdgeId>> = vec![Vec::new(); clusters.len()];
         let mut crossing = Vec::new();
-        for (le, &(u, v)) in sub.edges().iter().enumerate() {
+        for &e in &remaining {
+            let (u, v) = g.endpoints(e);
             if cluster_of[u] == cluster_of[v] {
-                part_edges[cluster_of[u]].push(orig[le]);
+                part_edges[cluster_of[u]].push(e);
             } else {
-                crossing.push(orig[le]);
+                crossing.push(e);
             }
         }
-        t.charge(Cost::par_flat(sub.m() as u64));
+        t.charge(Cost::par_flat(remaining.len() as u64));
         for (ci, edges) in part_edges.into_iter().enumerate() {
             if edges.is_empty() {
                 continue;
@@ -156,7 +223,7 @@ pub fn edge_decompose(t: &mut Tracker, g: &UGraph, phi: f64, seed: u64) -> Vec<E
             let vertices: Vec<Vertex> = clusters[ci]
                 .iter()
                 .copied()
-                .filter(|&v| sub.degree(v) > 0)
+                .filter(|v| root.glob.binary_search(v).is_ok())
                 .collect();
             parts.push(ExpanderPart { vertices, edges });
         }
