@@ -92,7 +92,7 @@ fn main() {
     // the same work/depth bit for bit
     let (_, lev_t2) = run_leverage();
     let repeat_consistent = lev_t2.work() == lev_t.work() && lev_t2.depth() == lev_t.depth();
-    if std::env::var_os("PMCF_PROFILE").is_some() {
+    if pmcf_pram::profile::profiling_requested() {
         profile = Some((format!("leverage, n={lev_n}, m={lev_m}"), lev_t));
     }
 

@@ -12,7 +12,7 @@ use pmcf_pram::Tracker;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
     /// Exact per-iteration recomputation: `Õ(m)` work / iteration (the
-    /// [LS14] cost shape; numerically anchored).
+    /// \[LS14\] cost shape; numerically anchored).
     #[default]
     Reference,
     /// The paper's data-structure-driven engine: `Õ(m/√n + n)` accounted

@@ -9,9 +9,10 @@
 //!
 //! * [`barrier`] — the two-sided log barrier `φ` and its derivatives,
 //! * [`init`] — auxiliary-edge construction of a centered initial point,
-//! * [`reference`] — the *reference engine*: weighted path following with
-//!   exact per-iteration recomputation (`Õ(m)`/iteration — the [LS14]
-//!   cost shape; also the correctness anchor),
+//! * [`reference`](mod@reference) — the *reference engine*: weighted
+//!   path following with exact per-iteration recomputation
+//!   (`Õ(m)`/iteration — the \[LS14\] cost shape; also the correctness
+//!   anchor),
 //! * [`robust`] — the *robust engine* of the paper: the same central
 //!   path, but all per-iteration quantities maintained by the
 //!   data-structure stack of `pmcf-ds` (`Õ(m/√n + n)` accounted
@@ -36,7 +37,6 @@ pub mod reference;
 pub mod resolve;
 pub mod robust;
 pub mod rounding;
-pub mod trace;
 
 pub use api::{
     max_flow, max_flow_with, min_cost_flow, resolve_mcf, solve_mcf, solve_mcf_checkpointed,

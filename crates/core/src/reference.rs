@@ -197,7 +197,7 @@ pub fn path_follow(
     mu_end: f64,
     cfg: &PathFollowConfig,
 ) -> (CentralPathState, PathStats) {
-    path_follow_inner(t, p, x0, None, mu0, mu_end, cfg, None)
+    path_follow_inner(t, p, x0, None, mu0, mu_end, cfg)
 }
 
 /// [`path_follow`] resuming from a warm `(x0, y0)` pair — the
@@ -213,25 +213,9 @@ pub fn path_follow_warm(
     mu_end: f64,
     cfg: &PathFollowConfig,
 ) -> (CentralPathState, PathStats) {
-    path_follow_inner(t, p, x0, Some(warm), mu0, mu_end, cfg, None)
+    path_follow_inner(t, p, x0, Some(warm), mu0, mu_end, cfg)
 }
 
-/// [`path_follow`] with an optional per-iteration trace recorder (the
-/// convergence-curve machinery of [`crate::trace`]).
-#[allow(clippy::too_many_arguments)]
-pub fn path_follow_traced(
-    t: &mut Tracker,
-    p: &McfProblem,
-    x0: Vec<f64>,
-    mu0: f64,
-    mu_end: f64,
-    cfg: &PathFollowConfig,
-    trace: Option<&mut crate::trace::TraceRecorder>,
-) -> (CentralPathState, PathStats) {
-    path_follow_inner(t, p, x0, None, mu0, mu_end, cfg, trace)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn path_follow_inner(
     t: &mut Tracker,
     p: &McfProblem,
@@ -240,7 +224,6 @@ fn path_follow_inner(
     mu0: f64,
     mu_end: f64,
     cfg: &PathFollowConfig,
-    mut trace: Option<&mut crate::trace::TraceRecorder>,
 ) -> (CentralPathState, PathStats) {
     let (n, m) = (p.n(), p.m());
     let cap: Vec<f64> = p.cap.iter().map(|&u| u as f64).collect();
@@ -463,16 +446,6 @@ fn path_follow_inner(
             // predictor: shrink μ
             let tau_sum: f64 = st.tau.iter().sum();
             let shrink = (1.0 - cfg.step_r / tau_sum.sqrt().max(1.0)).max(0.5);
-            if let Some(rec) = trace.as_deref_mut() {
-                rec.record_step(
-                    t,
-                    stats.iterations,
-                    mu_at_start,
-                    tau_sum,
-                    None,
-                    Some(shrink),
-                );
-            }
             pmcf_obs::emit_with("ipm.iter", || {
                 vec![
                     ("iteration", stats.iterations.into()),

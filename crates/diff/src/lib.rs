@@ -8,9 +8,9 @@
 //! other on seeded *adversarial* instance families and treats any
 //! disagreement as a bug in somebody:
 //!
-//! * [`families`] — seeded generators for the edge cases that broke (or
-//!   could break) the solver: zero-capacity and saturated edges,
-//!   self-loops, parallel/antiparallel bundles, disconnected demands,
+//! * [`families`](mod@families) — seeded generators for the edge cases
+//!   that broke (or could break) the solver: zero-capacity and saturated
+//!   edges, self-loops, parallel/antiparallel bundles, disconnected demands,
 //!   infeasible demand vectors, degenerate all-equal costs, magnitudes
 //!   at the `C·W·m² < 2^62` boundary, star/path/expander topologies;
 //! * [`driver`] — runs every applicable oracle on a scenario, compares

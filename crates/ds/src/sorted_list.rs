@@ -1,6 +1,6 @@
 //! Batch-parallel sorted list maintenance (paper Lemma A.2).
 //!
-//! The paper realizes this with parallel red-black trees [PP01]; we wrap
+//! The paper realizes this with parallel red-black trees \[PP01\]; we wrap
 //! a `BTreeSet` and charge the lemma's PRAM costs (initialize:
 //! `O(k log k)` work / `O(log k)` depth; batch search/insert/delete:
 //! `O(|I|)` work / `O(log|I| + log|T|)` depth) per DESIGN.md's simulation

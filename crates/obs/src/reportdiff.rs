@@ -359,7 +359,7 @@ impl ReportDiff {
                 .all(|d| d.status == DiffStatus::Kept && d.d_work() == 0 && d.d_depth() == 0)
     }
 
-    /// Span paths violating [`charged_costs_identical`], with their
+    /// Span paths violating [`Self::charged_costs_identical`], with their
     /// work/depth deltas (for error messages).
     pub fn charged_cost_violations(&self) -> Vec<String> {
         let mut out = Vec::new();

@@ -5,7 +5,6 @@
 
 use pmcf_core::init;
 use pmcf_core::reference::PathFollowConfig;
-use pmcf_core::trace::TraceRecorder;
 use pmcf_graph::generators;
 use pmcf_obs::monitor::{all_ok, run_monitors, to_markdown};
 use pmcf_obs::{json, FlightRecorder};
@@ -18,17 +17,15 @@ fn record_solve(engine: &str, seed: u64) -> (Vec<pmcf_obs::Event>, u64) {
     let mu0 = init::initial_mu(&ext.prob, 0.25);
     let mu_end = init::final_mu(&ext.prob);
     let mut t = Tracker::profiled();
-    let mut trace = TraceRecorder::new();
     match engine {
         "reference" => {
-            let _ = pmcf_core::reference::path_follow_traced(
+            let _ = pmcf_core::reference::path_follow(
                 &mut t,
                 &ext.prob,
                 ext.x0.clone(),
                 mu0,
                 mu_end,
                 &PathFollowConfig::default(),
-                Some(&mut trace),
             );
         }
         "robust" => {
@@ -53,7 +50,6 @@ fn reference_solve_recording_passes_all_monitors() {
     assert!(!events.is_empty());
     assert!(events.iter().any(|e| e.kind == "solve.start"));
     assert!(events.iter().any(|e| e.kind == "ipm.iter"));
-    assert!(events.iter().any(|e| e.kind == "ipm.trace"));
     assert!(events.iter().any(|e| e.kind == "ipm.centered"));
     assert!(events.iter().any(|e| e.kind == "solve.end"));
     let verdicts = run_monitors(&events);
@@ -62,7 +58,7 @@ fn reference_solve_recording_passes_all_monitors() {
         "monitor violations:\n{}",
         to_markdown(&verdicts)
     );
-    // every monitor actually saw events on a traced reference solve
+    // every monitor actually saw events on a recorded reference solve
     for v in &verdicts {
         if v.monitor != "conductance-certified" {
             assert!(v.checked > 0, "{} checked nothing", v.monitor);
@@ -105,6 +101,43 @@ fn recording_survives_jsonl_round_trip_with_same_verdicts() {
     let replayed = run_monitors(&parsed);
     assert_eq!(direct, replayed);
     assert!(all_ok(&replayed));
+}
+
+#[test]
+fn engine_produces_monotone_geometric_trace() {
+    pmcf_obs::install(FlightRecorder::new(pmcf_obs::recorder::DEFAULT_CAPACITY));
+    let p = generators::random_mcf(8, 24, 4, 3, 1);
+    let ext = init::extend(&p).unwrap();
+    let mu0 = init::initial_mu(&ext.prob, 0.25);
+    let mut t = Tracker::new();
+    let _ = pmcf_core::reference::path_follow(
+        &mut t,
+        &ext.prob,
+        ext.x0.clone(),
+        mu0,
+        mu0 / 1e6,
+        &PathFollowConfig::default(),
+    );
+    let rec = pmcf_obs::uninstall().unwrap();
+    let iters: Vec<_> = rec.events().filter(|e| e.kind == "ipm.iter").collect();
+    let num = |e: &pmcf_obs::Event, k: &str| e.num(k).unwrap();
+    assert!(iters.len() > 50);
+    assert!(iters.windows(2).all(|w| num(w[1], "mu") <= num(w[0], "mu")));
+    let (first, last) = (iters[0], iters[iters.len() - 1]);
+    let rate = ((num(last, "mu") / num(first, "mu")).ln()
+        / (num(last, "iteration") - num(first, "iteration")))
+    .exp();
+    // μ shrinks geometrically by 1 − r/√Στ each iteration
+    assert!(rate < 1.0 && rate > 0.8, "decay rate {rate}");
+    // work accumulates monotonically, and depth never exceeds work
+    assert!(iters.windows(2).all(
+        |w| num(w[1], "work") >= num(w[0], "work") && num(w[1], "depth") >= num(w[0], "depth")
+    ));
+    assert!(iters.iter().all(|e| num(e, "depth") <= num(e, "work")));
+    // every iteration records its μ step, in the clamp range [0.5, 1)
+    assert!(iters
+        .iter()
+        .all(|e| (0.5..1.0).contains(&num(e, "step_size"))));
 }
 
 #[test]
