@@ -3,7 +3,7 @@
 //!
 //! Rows:
 //! - `op=leverage` — a sketched leverage estimation (`r` independent CG
-//!   solves through `solve_batch`): wall clock (advisory), charged
+//!   solves, run in lane groups of eight): wall clock (advisory), charged
 //!   work/depth, and total CG iterations.
 //! - `op=cg_steady` — repeated workspace-pooled solves against a fixed
 //!   diagonal after a warm-up solve, under the counting allocator:
@@ -19,7 +19,8 @@
 //! - `warm_start_reduction_ok` — warm-started solve spends ≤ 0.8× the
 //!   cold CG iterations,
 //! - `batch_matches_single` — `solve_batch` agrees with per-RHS
-//!   `solve` to 1e-9,
+//!   `solve` bit for bit (a batch lane runs the single solve's exact
+//!   floating-point operations),
 //! - `parallel_cost_model_consistent` — charged work/depth are
 //!   identical across repeat runs and across
 //!   `ParMode::Sequential`/`ParMode::Forked` execution of the same
@@ -57,7 +58,7 @@ fn main() {
     );
     mdln!(args, "|---|---|---|---|---|---|---|---|");
 
-    // ---- leverage estimation: r independent solves as one batch ----
+    // ---- leverage estimation: r independent solves in lane groups ----
     let (lev_n, lev_m) = (192usize, 2560usize);
     let g = generators::gnm_digraph(lev_n, lev_m, seed);
     let d: Vec<f64> = (0..lev_m)
@@ -310,7 +311,7 @@ fn main() {
     let batch = bsolver.solve_batch(&mut t, &bd, &specs, None);
     let batch_ok = rhss.iter().zip(&batch).all(|(b, (xb, _))| {
         let (xs, _) = bsolver.solve(&mut Tracker::new(), &bd, b);
-        xs.iter().zip(xb).all(|(a, c)| (a - c).abs() <= 1e-9)
+        xs.iter().zip(xb).all(|(a, c)| a.to_bits() == c.to_bits())
     });
 
     // ---- Sequential vs Forked branch execution charges identically ----

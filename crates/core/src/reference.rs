@@ -151,23 +151,15 @@ pub struct CentralPathState {
     pub mu: f64,
 }
 
-/// Compute the centrality vector `z_i = (s + μτφ')/(μτ√φ'')` and its
-/// ∞-norm.
-pub fn centrality(st: &CentralPathState, cap: &[f64]) -> (Vec<f64>, f64) {
+/// The ∞-norm of the centrality vector `z_i = (s + μτφ')/(μτ√φ'')`.
+pub fn centrality(st: &CentralPathState, cap: &[f64]) -> f64 {
     let mut worst = 0.0f64;
-    let z: Vec<f64> =
-        st.x.iter()
-            .zip(cap)
-            .zip(&st.s)
-            .zip(&st.tau)
-            .map(|(((&xi, &ui), &si), &ti)| {
-                let zi = (si + st.mu * ti * barrier::dphi(xi, ui))
-                    / (st.mu * ti * barrier::ddphi(xi, ui).sqrt());
-                worst = worst.max(zi.abs());
-                zi
-            })
-            .collect();
-    (z, worst)
+    for (((&xi, &ui), &si), &ti) in st.x.iter().zip(cap).zip(&st.s).zip(&st.tau) {
+        let zi = (si + st.mu * ti * barrier::dphi(xi, ui))
+            / (st.mu * ti * barrier::ddphi(xi, ui).sqrt());
+        worst = worst.max(zi.abs());
+    }
+    worst
 }
 
 /// Warm-start material for a path-following run that resumes from a
@@ -426,7 +418,7 @@ fn path_follow_inner(
             }
             // corrector: re-center at current μ
             for _ in 0..cfg.max_correctors {
-                let (_, worst) = centrality(&st, &cap);
+                let worst = centrality(&st, &cap);
                 t.charge(Cost::par_flat(m as u64));
                 if worst <= cfg.center_tol {
                     pmcf_obs::emit_with("ipm.centered", || {
@@ -472,7 +464,7 @@ fn path_follow_inner(
     t.span("ipm/polish", |t| {
         let _trace = pmcf_obs::trace_scope("ipm/polish");
         for _ in 0..cfg.max_correctors {
-            let (_, worst) = centrality(&st, &cap);
+            let worst = centrality(&st, &cap);
             if worst <= cfg.center_tol {
                 break;
             }
@@ -481,7 +473,7 @@ fn path_follow_inner(
             }
         }
     });
-    let (_, mut worst) = centrality(&st, &cap);
+    let mut worst = centrality(&st, &cap);
     // Extended rescue: a warm start can exit the μ loop without a single
     // iteration (pick_mu lands on μ_end) or with its corrector budget
     // exhausted while still far outside the ε-centered ball — the
@@ -498,7 +490,7 @@ fn path_follow_inner(
                 if newton(t, &mut st, &mut stats, worst) < 1e-12 {
                     break;
                 }
-                worst = centrality(&st, &cap).1;
+                worst = centrality(&st, &cap);
             }
         });
     }

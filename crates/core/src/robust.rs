@@ -332,7 +332,7 @@ fn path_follow_inner(
                 let _trace = pmcf_obs::trace_scope("ipm/recenter");
                 t.counter("ipm.recenterings", 1);
                 for _ in 0..rounds {
-                    let (_, worst) = centrality(st, &cap);
+                    let worst = centrality(st, &cap);
                     if worst <= cfg.center_tol {
                         pmcf_obs::emit_with("ipm.centered", || {
                             vec![
@@ -771,14 +771,14 @@ fn path_follow_inner(
     barrier::clamp_interior_soft(&mut st.x, &cap, 1e-9);
     refresh_tau_dense(t, &mut st, stats.iterations + 1);
     recenter(t, &mut st, &mut stats, 2 * cfg.max_correctors);
-    let (_, mut worst) = centrality(&st, &cap);
+    let mut worst = centrality(&st, &cap);
     // Extended rescue: warm starts can land here still outside the
     // ε-centered ball (the μ loop may have run zero iterations); keep
     // recentering with a larger budget before certifying termination.
     // Cold runs already sit inside `center_tol` and skip this entirely.
     if worst > 1.0 {
         recenter(t, &mut st, &mut stats, 64 * cfg.max_correctors.max(1));
-        worst = centrality(&st, &cap).1;
+        worst = centrality(&st, &cap);
     }
     stats.final_centrality = worst;
     stats.final_mu = st.mu;

@@ -60,11 +60,18 @@ pub fn apply_at(t: &mut Tracker, g: &DiGraph, x: &[f64]) -> Vec<f64> {
 /// The charged cost of one `Aᵀ` apply: each vertex sums over its
 /// incident edges — total work Θ(m), depth O(log max-degree) for the
 /// per-vertex reduction.
-fn at_cost(g: &DiGraph) -> Cost {
+pub fn at_cost(g: &DiGraph) -> Cost {
     Cost::new(
         (g.m() as u64) * 2 + g.n() as u64,
         pmcf_pram::par_depth(g.n() as u64) + pmcf_pram::log2_ceil(g.m() as u64 + 1),
     )
+}
+
+/// The charged cost of one `AᵀDA` matvec, fused or not: an `A` pass, a
+/// `D` scale and the `Aᵀ` gather, in sequence.
+pub fn laplacian_cost(g: &DiGraph) -> Cost {
+    let pass = Cost::par_flat(g.m() as u64);
+    pass.seq(pass).seq(at_cost(g))
 }
 
 /// [`apply_at`] writing into a caller buffer of length `n`.
@@ -166,9 +173,7 @@ pub fn apply_laplacian_fused_into(
     assert_eq!(out.len(), g.n());
     debug_assert!(y[ground] == 0.0, "grounded coordinate must be zero");
     // identical charge to the unfused path: A pass, D scale, Aᵀ gather
-    t.charge(Cost::par_flat(g.m() as u64));
-    t.charge(Cost::par_flat(g.m() as u64));
-    t.charge(at_cost(g));
+    t.charge(laplacian_cost(g));
     let body = |v: usize| -> f64 {
         let yv = y[v];
         let mut acc = 0.0;

@@ -17,7 +17,7 @@
 
 use crate::dense::DenseMat;
 use crate::sketch::JlSketch;
-use crate::solver::{LaplacianSolver, RhsSpec};
+use crate::solver::{LaplacianSolver, LANES};
 use pmcf_graph::{incidence, DiGraph};
 use pmcf_pram::{primitives as pp, Cost, Tracker};
 
@@ -55,6 +55,13 @@ pub fn exact_leverage(g: &DiGraph, d: &[f64], ground: usize) -> Vec<f64> {
 ///
 /// Returns estimates `σ̂` with `σ̂_e ≈ (1±ε) σ_e + O(ε)` w.h.p., clamped
 /// to `[0, 1]`.
+///
+/// The `r` sketch rows are independent: row `i` builds its right-hand
+/// side `Aᵀ(√D qᵢ)`, solves, and contributes `(√d_e (A zᵢ)_e)²` to every
+/// `σ_e`. The right-hand sides are built straight into the solver's
+/// lane groups and each `σ_e` is summed over `i = 0..r` from the lane
+/// solutions, so no `m`-length row or `A zᵢ` vector is materialized.
+/// The model still charges each row as its own parallel branch.
 pub fn estimate_leverage(
     t: &mut Tracker,
     solver: &LaplacianSolver,
@@ -63,60 +70,59 @@ pub fn estimate_leverage(
     seed: u64,
 ) -> Vec<f64> {
     let g = solver.graph();
-    let (n, m) = (g.n(), g.m());
+    let m = g.m();
     assert_eq!(d.len(), m);
     t.span("linalg/leverage", |t| {
         let _trace = pmcf_obs::trace_scope("linalg/leverage");
         t.counter("leverage.estimates", 1);
         // Hard cap: barrier/sampling weights tolerate constant-factor error,
         // and each sketch row costs a full Laplacian solve.
-        let r = JlSketch::rows_for(eps, n).clamp(8, 24).min(4 * m.max(1));
+        let r = JlSketch::rows_for(eps, g.n())
+            .clamp(8, 24)
+            .min(4 * m.max(1));
         let q = JlSketch::new(r, m, seed);
-        // All scratch (sketch rows, RHS vectors, CG state, A-applications)
-        // recycles through the solver's arena: after the first estimate on
-        // a given size class, repeated calls stop allocating.
+        // All scratch (√D and the lane groups' CG state) recycles through
+        // the solver's arena: after the first estimate on a given size
+        // class, repeated calls stop allocating.
         let ws = solver.workspace();
         let (fresh0, reuse0) = (ws.fresh(), ws.reused());
         let mut sqrt_d = ws.take(t, m);
         pp::par_tabulate_into(t, &mut sqrt_d, |e| d[e].sqrt());
+        let rows = |per_row: Cost| (0..r).fold(Cost::ZERO, |acc, _| acc.par(per_row));
 
-        let mut sigma = vec![0.0f64; m];
-        // The r sketch rows are independent → parallel branches in the
-        // model (and on the pool): build the r right-hand sides, solve
-        // them as one batch sharing a single preconditioner, then apply A
-        // to each solution.
-        let rhss: Vec<Vec<f64>> = t.parallel(r, |i, t| {
-            // rhs = Aᵀ (√D qᵢ); the m-length row is scratch and goes
-            // straight back to the pool for the next branch
-            let mut row = ws.take(t, m);
-            pp::par_tabulate_into(t, &mut row, |e| q.entry(i, e) * sqrt_d[e]);
-            let mut rhs = ws.take(t, n);
-            incidence::apply_at_into(t, g, &row, &mut rhs);
-            ws.give(row);
-            rhs
-        });
-        let specs: Vec<RhsSpec<'_>> = rhss.iter().map(|b| RhsSpec { b, guess: None }).collect();
-        let solves = solver.solve_batch_with(t, d, &specs, None, Some(ws));
-        let results: Vec<Vec<f64>> = t.parallel(r, |i, t| {
-            let mut az = ws.take(t, m);
-            incidence::apply_a_into(t, g, &solves[i].0, &mut az);
-            az
-        });
-        for az in &results {
-            for e in 0..m {
-                let val = sqrt_d[e] * az[e];
-                sigma[e] += val * val;
+        // Row i's right-hand side: scale qᵢ by √D, then apply Aᵀ.
+        t.charge(rows(Cost::par_flat(m as u64).seq(incidence::at_cost(g))));
+        let rhs = |v: usize, i: usize| {
+            let mut acc = 0.0;
+            for &e in g.in_edges(v) {
+                acc += q.entry(i, e) * sqrt_d[e];
             }
-        }
+            for &e in g.out_edges(v) {
+                acc -= q.entry(i, e) * sqrt_d[e];
+            }
+            acc
+        };
+        let runs = solver.solve_lanes(t, d, r, rhs, |_| None, None, None, ws);
+
+        // σ_e = Σᵢ (√d_e (A zᵢ)_e)²: the A applies, then the sum.
+        t.charge(rows(Cost::par_flat(m as u64)));
+        let sigma: Vec<f64> = g
+            .edges()
+            .iter()
+            .zip(sqrt_d.iter())
+            .map(|(&(u, v), &sd)| {
+                let mut s = 0.0f64;
+                for i in 0..r {
+                    let (run, j) = (&runs[i / LANES], i % LANES);
+                    let val = sd * (run.at(v, j) - run.at(u, j));
+                    s += val * val;
+                }
+                s.clamp(0.0, 1.0)
+            })
+            .collect();
         t.charge(Cost::par_for(r as u64, Cost::par_flat(m as u64)));
-        for s in sigma.iter_mut() {
-            *s = s.clamp(0.0, 1.0);
-        }
-        for (x, _) in solves {
-            ws.give(x);
-        }
-        for buf in rhss.into_iter().chain(results) {
-            ws.give(buf);
+        for run in runs {
+            run.release(ws);
         }
         ws.give(sqrt_d);
         t.counter("leverage.rhs_fresh", ws.fresh() - fresh0);
@@ -128,8 +134,9 @@ pub fn estimate_leverage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SolverOpts;
+    use crate::solver::{RhsSpec, SolverOpts};
     use pmcf_graph::generators;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -188,5 +195,106 @@ mod tests {
         assert!(t.depth() > 0);
         // depth should be far below work (parallel sketch rows)
         assert!(t.depth() < t.work());
+    }
+
+    /// The estimator before the lane fusion, kept verbatim as the
+    /// oracle: r separate right-hand-side and `A zᵢ` vectors, each built
+    /// in its own `t.parallel` branch, solved through `solve_batch_with`.
+    fn oracle_estimate(
+        t: &mut Tracker,
+        solver: &LaplacianSolver,
+        d: &[f64],
+        eps: f64,
+        seed: u64,
+    ) -> Vec<f64> {
+        let g = solver.graph();
+        let (n, m) = (g.n(), g.m());
+        assert_eq!(d.len(), m);
+        t.span("linalg/leverage", |t| {
+            let _trace = pmcf_obs::trace_scope("linalg/leverage");
+            t.counter("leverage.estimates", 1);
+            // Hard cap: barrier/sampling weights tolerate constant-factor error,
+            // and each sketch row costs a full Laplacian solve.
+            let r = JlSketch::rows_for(eps, n).clamp(8, 24).min(4 * m.max(1));
+            let q = JlSketch::new(r, m, seed);
+            // All scratch (sketch rows, RHS vectors, CG state, A-applications)
+            // recycles through the solver's arena: after the first estimate on
+            // a given size class, repeated calls stop allocating.
+            let ws = solver.workspace();
+            let (fresh0, reuse0) = (ws.fresh(), ws.reused());
+            let mut sqrt_d = ws.take(t, m);
+            pp::par_tabulate_into(t, &mut sqrt_d, |e| d[e].sqrt());
+
+            let mut sigma = vec![0.0f64; m];
+            // The r sketch rows are independent → parallel branches in the
+            // model (and on the pool): build the r right-hand sides, solve
+            // them as one batch sharing a single preconditioner, then apply A
+            // to each solution.
+            let rhss: Vec<Vec<f64>> = t.parallel(r, |i, t| {
+                // rhs = Aᵀ (√D qᵢ); the m-length row is scratch and goes
+                // straight back to the pool for the next branch
+                let mut row = ws.take(t, m);
+                pp::par_tabulate_into(t, &mut row, |e| q.entry(i, e) * sqrt_d[e]);
+                let mut rhs = ws.take(t, n);
+                incidence::apply_at_into(t, g, &row, &mut rhs);
+                ws.give(row);
+                rhs
+            });
+            let specs: Vec<RhsSpec<'_>> = rhss.iter().map(|b| RhsSpec { b, guess: None }).collect();
+            let solves = solver.solve_batch_with(t, d, &specs, None, Some(ws));
+            let results: Vec<Vec<f64>> = t.parallel(r, |i, t| {
+                let mut az = ws.take(t, m);
+                incidence::apply_a_into(t, g, &solves[i].0, &mut az);
+                az
+            });
+            for az in &results {
+                for e in 0..m {
+                    let val = sqrt_d[e] * az[e];
+                    sigma[e] += val * val;
+                }
+            }
+            t.charge(Cost::par_for(r as u64, Cost::par_flat(m as u64)));
+            for s in sigma.iter_mut() {
+                *s = s.clamp(0.0, 1.0);
+            }
+            for (x, _) in solves {
+                ws.give(x);
+            }
+            for buf in rhss.into_iter().chain(results) {
+                ws.give(buf);
+            }
+            ws.give(sqrt_d);
+            t.counter("leverage.rhs_fresh", ws.fresh() - fresh0);
+            t.counter("leverage.rhs_reuse", ws.reused() - reuse0);
+            sigma
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The fused estimator returns the oracle's scores to the bit,
+        /// with the same charged work and depth and the same CG
+        /// iteration total.
+        #[test]
+        fn fused_estimator_matches_oracle(seed in 0u64..1_000_000) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..=48usize);
+            let m = rng.gen_range(n..=5 * n);
+            let g = generators::gnm_digraph(n, m, seed);
+            let d: Vec<f64> = (0..m).map(|_| 10f64.powf(rng.gen_range(-3.0..3.0))).collect();
+            let eps = rng.gen_range(0.3..1.5);
+            let solver = LaplacianSolver::new(g, rng.gen_range(0..n), SolverOpts::default());
+            let mut tf = Tracker::profiled();
+            let fused = estimate_leverage(&mut tf, &solver, &d, eps, seed);
+            let mut to = Tracker::profiled();
+            let oracle = oracle_estimate(&mut to, &solver, &d, eps, seed);
+            prop_assert_eq!((tf.work(), tf.depth()), (to.work(), to.depth()));
+            let iters =
+                |t: &Tracker| t.profile_report().unwrap().counters["solver.cg_iterations_total"];
+            prop_assert_eq!(iters(&tf), iters(&to));
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fused), bits(&oracle));
+        }
     }
 }

@@ -15,8 +15,10 @@ use rand::{Rng, SeedableRng};
 pub struct JlSketch {
     r: usize,
     m: usize,
-    /// Row-major `r × m` sign matrix, scaled by `1/√r`.
-    entries: Vec<f64>,
+    /// `1/√r`, the magnitude of every entry.
+    scale: f64,
+    /// Row-major `r × m` sign bits, one per entry (set = `+scale`).
+    signs: Vec<u64>,
 }
 
 impl JlSketch {
@@ -24,11 +26,16 @@ impl JlSketch {
     pub fn new(r: usize, m: usize, seed: u64) -> Self {
         assert!(r >= 1);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let scale = 1.0 / (r as f64).sqrt();
-        let entries = (0..r * m)
-            .map(|_| if rng.gen_bool(0.5) { scale } else { -scale })
-            .collect();
-        JlSketch { r, m, entries }
+        let mut signs = vec![0u64; (r * m).div_ceil(64)];
+        for k in 0..r * m {
+            signs[k / 64] |= (rng.gen_bool(0.5) as u64) << (k % 64);
+        }
+        JlSketch {
+            r,
+            m,
+            scale: 1.0 / (r as f64).sqrt(),
+            signs,
+        }
     }
 
     /// Number of sketch rows needed for `(1±ε)` norm estimates with
@@ -50,7 +57,11 @@ impl JlSketch {
     /// Entry `(i, j)` of the sketch matrix.
     #[inline]
     pub fn entry(&self, i: usize, j: usize) -> f64 {
-        self.entries[i * self.m + j]
+        // The signs are coin flips: flip the sign bit of `scale` rather
+        // than branch on them.
+        let k = i * self.m + j;
+        let negative = !self.signs[k / 64] >> (k % 64) & 1;
+        f64::from_bits(self.scale.to_bits() ^ negative << 63)
     }
 
     /// Apply to a dense vector: `y = Q v ∈ R^r`.
@@ -58,8 +69,10 @@ impl JlSketch {
         assert_eq!(v.len(), self.m);
         (0..self.r)
             .map(|i| {
-                let row = &self.entries[i * self.m..(i + 1) * self.m];
-                row.iter().zip(v).map(|(q, x)| q * x).sum()
+                v.iter()
+                    .enumerate()
+                    .map(|(j, x)| self.entry(i, j) * x)
+                    .sum()
             })
             .collect()
     }
@@ -136,5 +149,22 @@ mod tests {
         let a = JlSketch::new(4, 10, 9);
         let b = JlSketch::new(4, 10, 9);
         assert_eq!(a.entry(2, 3), b.entry(2, 3));
+    }
+
+    /// The bitset stores exactly the `±1/√r` matrix drawn one `gen_bool`
+    /// per entry in row-major order.
+    #[test]
+    fn entries_match_row_major_sign_draws() {
+        for (r, m, seed) in [(1, 1, 0), (3, 50, 7), (24, 2744, 11), (5, 64, 3)] {
+            let q = JlSketch::new(r, m, seed);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let scale = 1.0 / (r as f64).sqrt();
+            for i in 0..r {
+                for j in 0..m {
+                    let want = if rng.gen_bool(0.5) { scale } else { -scale };
+                    assert_eq!(q.entry(i, j).to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 }
